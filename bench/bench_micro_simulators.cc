@@ -8,7 +8,6 @@
 #include "src/cluster/fleet_sim.h"
 #include "src/integrity/integrity.h"
 #include "src/obs/engine_profiler.h"
-#include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
 #include "src/platform/presets.h"
@@ -96,22 +95,18 @@ void BM_PlatformSimThousandRequests(benchmark::State& state) {
 }
 BENCHMARK(BM_PlatformSimThousandRequests);
 
-// Same run with the span sink and metrics registry attached: the delta
-// against the untraced variant is the observability overhead (the PR's
-// budget for it is <10%).
+// Same run with the span sink attached: the delta against the untraced
+// variant is the observability overhead (budgeted <10%).
 void BM_PlatformSimThousandRequestsTraced(benchmark::State& state) {
   const WorkloadSpec wl = PyAesWorkload();
-  // The sinks live across iterations, as they do in a real `observe` run:
+  // The sink lives across iterations, as it does in a real `observe` run:
   // what is measured is the steady-state emission cost, not allocator warmup.
   const auto arrivals = PlatformArrivals();
   SpanCollector spans;
-  MetricsRegistry metrics;
   for (auto _ : state) {
     spans.Clear();
-    metrics.Reset();
     PlatformSimConfig cfg = GcpPlatform(1.0, 1'024.0);
     cfg.trace = &spans;
-    cfg.metrics = &metrics;
     PlatformSim sim(cfg, 5);
     const auto result = sim.Run(arrivals, wl);
     benchmark::DoNotOptimize(result.requests.size());
@@ -190,12 +185,9 @@ void BM_FleetSimDay(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetSimDay)->Arg(50'000);
 
-// Traced counterpart of BM_FleetSimDay (USD-tagged spans plus metrics
-// sampling), for the same overhead comparison. The sinks live across
-// iterations as in a real `observe` run, and the metrics cadence is 1 minute
-// — the standard resolution for day-scale monitoring; sampling a simulated
-// day at 1 Hz would produce 86 400 rows and measure the sampler, not the
-// instrumentation.
+// Traced counterpart of BM_FleetSimDay (USD-tagged spans), for the same
+// overhead comparison. The sink lives across iterations as in a real
+// `observe` run.
 void BM_FleetSimDayTraced(benchmark::State& state) {
   TraceGenConfig cfg;
   cfg.num_requests = state.range(0);
@@ -203,14 +195,10 @@ void BM_FleetSimDayTraced(benchmark::State& state) {
   const auto trace = TraceGenerator(cfg, 7).Generate();
   const BillingModel aws = MakeBillingModel(Platform::kAwsLambda);
   SpanCollector spans;
-  MetricsRegistry metrics;
   for (auto _ : state) {
     spans.Clear();
-    metrics.Reset();
     FleetSimConfig fleet_cfg;
     fleet_cfg.trace_sink = &spans;
-    fleet_cfg.metrics = &metrics;
-    fleet_cfg.metrics_interval = 60 * kMicrosPerSec;
     const FleetResult r = SimulateFleet(trace, aws, fleet_cfg);
     benchmark::DoNotOptimize(r.revenue);
     benchmark::DoNotOptimize(spans.spans().size());

@@ -130,8 +130,7 @@ class CircuitBreaker {
 
   bool enabled() const { return threshold_ > 0; }
   int64_t trips() const { return trips_; }
-  // Last acted-upon state (transitions happen lazily inside AllowDispatch),
-  // exposed for the breaker-state gauge in the metrics registry.
+  // Last acted-upon state (transitions happen lazily inside AllowDispatch).
   bool open() const { return state_ == State::kOpen; }
 
  private:

@@ -78,12 +78,6 @@ struct EventQueue
   const std::vector<Event>& raw() const { return c; }
 };
 
-struct MetricIds {
-  int instances = 0, ready = 0, inflight = 0, queue_depth = 0, utilization = 0;
-  int breaker_open = 0, attempts = 0, failures = 0, cold_starts = 0, retries = 0;
-  int queue_wait_ms = 0, e2e_ms = 0;
-};
-
 // --- Shared archive helpers (save / load / digest through one walker) ---
 
 template <typename Ar>
@@ -281,11 +275,9 @@ struct PlatformEngine::Impl {
 
   // --- Observability and integrity hooks (no-ops when null) ---
   TraceSink* trace = nullptr;
-  MetricsRegistry* metrics = nullptr;
   TimeSeries* ts = nullptr;
   EngineProfiler* prof = nullptr;
   Auditor* auditor = nullptr;
-  MetricIds mid;
 
   Impl(PlatformSimConfig cfg, uint64_t sd)
       : config(std::move(cfg)),
@@ -297,7 +289,6 @@ struct PlatformEngine::Impl {
         scaler(scaler_config),
         multi(config.concurrency == ConcurrencyModel::kMultiConcurrency),
         trace(config.trace),
-        metrics(config.metrics),
         ts(config.timeseries),
         prof(config.profiler),
         auditor(config.auditor) {
@@ -319,21 +310,6 @@ struct PlatformEngine::Impl {
                               "queue_timeout");
       prof->RegisterEventType(static_cast<int>(EventType::kDrainDeadline),
                               "drain_deadline");
-    }
-    if (metrics != nullptr) {
-      using K = MetricsRegistry::Kind;
-      mid.instances = metrics->Define(K::kGauge, "platform.instances");
-      mid.ready = metrics->Define(K::kGauge, "platform.warm_pool");
-      mid.inflight = metrics->Define(K::kGauge, "platform.inflight");
-      mid.queue_depth = metrics->Define(K::kGauge, "platform.queue_depth");
-      mid.utilization = metrics->Define(K::kGauge, "platform.avg_utilization");
-      mid.breaker_open = metrics->Define(K::kGauge, "platform.breaker_open");
-      mid.attempts = metrics->Define(K::kCounter, "platform.attempts_total");
-      mid.failures = metrics->Define(K::kCounter, "platform.failed_attempts_total");
-      mid.cold_starts = metrics->Define(K::kCounter, "platform.cold_starts_total");
-      mid.retries = metrics->Define(K::kCounter, "platform.retries_total");
-      mid.queue_wait_ms = metrics->Define(K::kHistogram, "platform.queue_wait_ms");
-      mid.e2e_ms = metrics->Define(K::kHistogram, "platform.e2e_latency_ms");
     }
   }
 
@@ -522,12 +498,6 @@ struct PlatformEngine::Impl {
       EmitClientSpan(SpanKind::kQueueWait, att.dispatched, now - att.dispatched,
                      attempt_idx, "", /*term=*/false);
     }
-    if (metrics != nullptr) {
-      metrics->Observe(mid.queue_wait_ms, MicrosToMillis(now - att.dispatched));
-      if (cold) {
-        metrics->Add(mid.cold_starts);
-      }
-    }
     if (ts != nullptr) {
       ts->RecordDispatch(now, cold);
     }
@@ -601,9 +571,6 @@ struct PlatformEngine::Impl {
       if (trace != nullptr) {
         EmitClientSpan(SpanKind::kBackoff, now, delay, attempt_idx, "", /*term=*/false);
       }
-      if (metrics != nullptr) {
-        metrics->Add(mid.retries);
-      }
       if (ts != nullptr) {
         ts->RecordRetry(now);
       }
@@ -618,9 +585,6 @@ struct PlatformEngine::Impl {
     out.start_exec = att.start_exec;
     out.cold_start = att.cold_start;
     out.init_duration = att.init_duration;
-    if (metrics != nullptr) {
-      metrics->Observe(mid.e2e_ms, MicrosToMillis(now - out.arrival));
-    }
     if (ts != nullptr) {
       ts->RecordCompletion(now, /*ok=*/false, now - out.arrival);
     }
@@ -646,9 +610,6 @@ struct PlatformEngine::Impl {
         EmitClientSpan(SpanKind::kQueueWait, att.dispatched, now - att.dispatched,
                        attempt_idx, OutcomeName(oc), /*term=*/true);
       }
-    }
-    if (metrics != nullptr) {
-      metrics->Add(mid.failures);
     }
     if (ts != nullptr && attempt_started[static_cast<size_t>(attempt_idx)] &&
         now > att.start_exec) {
@@ -689,9 +650,6 @@ struct PlatformEngine::Impl {
     out.completion = now;
     out.reported_duration = now - out.start_exec;
     out.e2e_latency = now - out.arrival;
-    if (metrics != nullptr) {
-      metrics->Observe(mid.e2e_ms, MicrosToMillis(now - out.arrival));
-    }
     if (ts != nullptr) {
       ts->RecordCompletion(now, /*ok=*/true, now - out.arrival);
     }
@@ -810,9 +768,6 @@ struct PlatformEngine::Impl {
     attempt_started.push_back(0);
     ++open_attempts;
     result.requests[static_cast<size_t>(req_idx)].attempts = attempt_no;
-    if (metrics != nullptr) {
-      metrics->Add(mid.attempts);
-    }
     if (breaker.enabled() && !breaker.AllowDispatch(now)) {
       // Fast-fail at the client: the attempt never reaches the platform and
       // is never billed (and never starts a client-timeout clock).
@@ -1243,9 +1198,6 @@ struct PlatformEngine::Impl {
             EmitClientSpan(SpanKind::kQueueWait, att.dispatched, now - att.dispatched,
                            attempt_idx, OutcomeName(Outcome::kTimeout), /*term=*/true);
           }
-          if (metrics != nullptr) {
-            metrics->Add(mid.failures);
-          }
         }
         // Started attempts keep running (and billing) server-side; the
         // client moves on either way.
@@ -1373,20 +1325,10 @@ struct PlatformEngine::Impl {
           }
           sample.busy_requests += static_cast<int>(s.inflight.size());
         }
-        const int inflight_only = sample.busy_requests;
         sample.busy_requests += static_cast<int>(global_queue.size());
         sample.ready_instances = ready;
         sample.avg_utilization = ready > 0 ? util_sum / ready : 0.0;
         result.timeline.push_back(sample);
-        if (metrics != nullptr) {
-          metrics->Set(mid.instances, sample.instances);
-          metrics->Set(mid.ready, ready);
-          metrics->Set(mid.inflight, inflight_only);
-          metrics->Set(mid.queue_depth, static_cast<double>(global_queue.size()));
-          metrics->Set(mid.utilization, sample.avg_utilization);
-          metrics->Set(mid.breaker_open, breaker.open() ? 1.0 : 0.0);
-          metrics->Sample(now);
-        }
         if (ts != nullptr) {
           ts->RecordQueueDepth(now, static_cast<int64_t>(global_queue.size()));
         }

@@ -82,24 +82,6 @@ TEST(ChromeTraceJson, EmptyInputIsValidDocument) {
   EXPECT_NE(json.find("\"traceEvents\":[]"), std::string::npos);
 }
 
-TEST(MetricsJsonl, OneLinePerSample) {
-  MetricsRegistry reg;
-  const int g = reg.Define(MetricsRegistry::Kind::kGauge, "pool");
-  reg.Set(g, 2.0);
-  reg.Sample(1'000'000);
-  reg.Set(g, 3.0);
-  reg.Sample(2'000'000);
-  const std::string jsonl = MetricsJsonl(reg);
-  EXPECT_EQ(jsonl, "{\"time_us\":1000000,\"pool\":2}\n"
-                   "{\"time_us\":2000000,\"pool\":3}\n");
-}
-
-TEST(MetricsJsonl, EmptyRegistryIsEmptyString) {
-  MetricsRegistry reg;
-  reg.Define(MetricsRegistry::Kind::kGauge, "unused");
-  EXPECT_EQ(MetricsJsonl(reg), "");
-}
-
 TEST(SpanCollector, RecordsInEmissionOrder) {
   SpanCollector collector;
   Span s;

@@ -10,8 +10,8 @@
 #include "src/billing/catalog.h"
 #include "src/cluster/fleet_sim.h"
 #include "src/core/observe.h"
-#include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/obs/timeseries.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
@@ -63,14 +63,14 @@ TEST(PlatformProvenance, AttachedSinksDoNotPerturbResults) {
 
   PlatformSimConfig traced_cfg = FaultyAws();
   SpanCollector spans;
-  MetricsRegistry metrics;
+  TimeSeries series(traced_cfg.autoscaler.sample_interval);
   traced_cfg.trace = &spans;
-  traced_cfg.metrics = &metrics;
+  traced_cfg.timeseries = &series;
   const PlatformSimResult traced = RunPlatform(traced_cfg);
 
   ExpectSameResults(plain, traced);
   EXPECT_FALSE(spans.spans().empty());
-  EXPECT_FALSE(metrics.rows().empty());
+  EXPECT_GT(series.window_count(), 0u);
 }
 
 TEST(PlatformProvenance, EveryAttemptHasExactlyOneTerminalSpan) {
@@ -133,9 +133,9 @@ TEST(FleetProvenance, TerminalSpanUsdSumsToRevenue) {
   const FleetResult plain = SimulateFleet(trace, billing, cfg);
 
   SpanCollector spans;
-  MetricsRegistry metrics;
+  TimeSeries series(60 * kMicrosPerSec);
   cfg.trace_sink = &spans;
-  cfg.metrics = &metrics;
+  cfg.timeseries = &series;
   const FleetResult traced = SimulateFleet(trace, billing, cfg);
 
   // Sinks leave the simulation bit-identical.
@@ -157,7 +157,7 @@ TEST(FleetProvenance, TerminalSpanUsdSumsToRevenue) {
   }
   EXPECT_EQ(terminal, traced.attempts);
   EXPECT_DOUBLE_EQ(span_sum, traced.revenue);
-  EXPECT_FALSE(metrics.rows().empty());
+  EXPECT_GT(series.window_count(), 0u);
 }
 
 TEST(HostProvenance, SpansMatchDetectedGaps) {

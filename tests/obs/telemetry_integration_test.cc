@@ -22,6 +22,7 @@
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
+#include "src/sched/host_sim.h"
 #include "src/trace/generator.h"
 #include "src/workflow/dag.h"
 #include "src/workflow/workflow_sim.h"
@@ -95,28 +96,43 @@ TEST(TelemetryIntegrationTest, FleetDetachedResultsAreUnchangedByTelemetry) {
 }
 
 TEST(TelemetryIntegrationTest, PlatformIngestedSpansReconcileBitwise) {
-  PlatformSimConfig cfg = AwsLambdaPlatform(1.0, 1'769.0);
-  cfg.faults.crash_prob = 0.05;
-  cfg.retry.max_attempts = 3;
-  TimeSeries series(kWindow);
-  SpanCollector spans;
-  cfg.trace = &spans;
-  cfg.timeseries = &series;
-  PlatformSim sim(cfg, 5);
-  const PlatformSimResult res =
-      sim.Run(UniformArrivals(10.0, 120 * kMicrosPerSec), PyAesWorkload());
-  const BillingModel billing = Aws();
-  TagPlatformSpanBilling(spans.mutable_spans(), res, cfg, billing);
-  IngestBilledSpans(series, spans.spans());
-  const BilledReconciliation rec = ReconcileBilledUsd(series, spans.spans());
-  EXPECT_TRUE(rec.ok) << "first mismatch at window " << rec.first_mismatch_window;
-  EXPECT_GT(rec.span_total, 0.0);
-  // Inline counters flowed too: completions cover every request.
-  int64_t completions = 0;
-  for (size_t i = 0; i < series.window_count(); ++i) {
-    completions += series.window_at(i).completions;
+  // With co-tenants the collector also carries the sched layer's
+  // throttle/preempt spans (the `faascost observe --cotenants` path); they
+  // are non-terminal, so reconciliation must ignore them.
+  for (const int cotenants : {0, 2}) {
+    SCOPED_TRACE(cotenants);
+    PlatformSimConfig cfg = AwsLambdaPlatform(1.0, 1'769.0);
+    cfg.faults.crash_prob = 0.05;
+    cfg.retry.max_attempts = 3;
+    TimeSeries series(kWindow);
+    SpanCollector spans;
+    cfg.trace = &spans;
+    cfg.timeseries = &series;
+    PlatformSim sim(cfg, 5);
+    const PlatformSimResult res =
+        sim.Run(UniformArrivals(10.0, 120 * kMicrosPerSec), PyAesWorkload());
+    const size_t platform_spans = spans.spans().size();
+    if (cotenants > 0) {
+      HostSimConfig host;
+      host.duration = 120 * kMicrosPerSec;
+      host.trace = &spans;
+      const std::vector<TenantSpec> tenants{{0.5, 1.0, 1.0}, {0.5, 1.0, 0.7}};
+      SimulateHost(host, tenants, 5);
+      ASSERT_GT(spans.spans().size(), platform_spans);
+    }
+    const BillingModel billing = Aws();
+    TagPlatformSpanBilling(spans.mutable_spans(), res, cfg, billing);
+    IngestBilledSpans(series, spans.spans());
+    const BilledReconciliation rec = ReconcileBilledUsd(series, spans.spans());
+    EXPECT_TRUE(rec.ok) << "first mismatch at window " << rec.first_mismatch_window;
+    EXPECT_GT(rec.span_total, 0.0);
+    // Inline counters flowed too: completions cover every request.
+    int64_t completions = 0;
+    for (size_t i = 0; i < series.window_count(); ++i) {
+      completions += series.window_at(i).completions;
+    }
+    EXPECT_EQ(completions, static_cast<int64_t>(res.requests.size()));
   }
-  EXPECT_EQ(completions, static_cast<int64_t>(res.requests.size()));
 }
 
 TEST(TelemetryIntegrationTest, WorkflowAttemptsReconcileBitwise) {

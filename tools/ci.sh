@@ -170,8 +170,23 @@ trap 'rm -rf "$obs_tmp"' EXIT
 "$repo/build/tools/faascost" observe --out "$obs_tmp/b" --seed 42 > /dev/null
 python3 -m json.tool "$obs_tmp/a/trace.json" > /dev/null
 cmp "$obs_tmp/a/trace.json" "$obs_tmp/b/trace.json"
-cmp "$obs_tmp/a/metrics.jsonl" "$obs_tmp/b/metrics.jsonl"
-echo "trace.json parses; repeated runs are byte-identical."
+cmp "$obs_tmp/a/timeseries.jsonl" "$obs_tmp/b/timeseries.jsonl"
+# Co-tenant sched spans share the collector; billed USD must still reconcile.
+"$repo/build/tools/faascost" observe --out "$obs_tmp/c" --seed 42 --cotenants 2 \
+  > /dev/null
+# A duration whose microsecond value overflows is a usage error (exit 1),
+# not a silently empty run.
+set +e
+"$repo/build/tools/faascost" observe --out "$obs_tmp/d" \
+  --seconds 10000000000000 > /dev/null 2>&1
+observe_rc=$?
+set -e
+if [ "$observe_rc" -ne 1 ]; then
+  echo "observe: expected exit 1 on an overflowing --seconds, got $observe_rc" >&2
+  exit 1
+fi
+echo "trace.json parses; repeated runs are byte-identical; co-tenant run"
+echo "reconciles; overflowing --seconds rejected with exit 1."
 
 echo
 echo "== Monitor smoke: windowed telemetry determinism + schema sanity =="

@@ -55,6 +55,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -76,7 +77,6 @@
 #include "src/net/model.h"
 #include "src/obs/engine_profiler.h"
 #include "src/obs/exporters.h"
-#include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
@@ -160,6 +160,20 @@ class Flags {
       std::exit(1);
     }
     return parsed;
+  }
+
+  // A whole-seconds duration flag: exits 1 with a usage error when the value
+  // times kMicrosPerSec would overflow MicroSecs, so callers can convert it
+  // without wrapping to a bogus (often negative) duration.
+  int64_t GetSeconds(const std::string& key, int64_t fallback) const {
+    const int64_t secs = GetInt(key, fallback);
+    constexpr int64_t kMax = std::numeric_limits<MicroSecs>::max() / kMicrosPerSec;
+    if (secs > kMax || secs < -kMax) {
+      std::fprintf(stderr, "faascost: --%s %lld is out of range (overflows in microseconds)\n",
+                   key.c_str(), static_cast<long long>(secs));
+      std::exit(1);
+    }
+    return secs;
   }
 
   const std::vector<std::string>& extra() const { return extra_; }
@@ -423,7 +437,7 @@ int CmdFailures(const Flags& flags) {
   }
 
   const double rps = flags.GetDouble("rps", 5.0);
-  const MicroSecs seconds = flags.GetInt("seconds", 120);
+  const MicroSecs seconds = flags.GetSeconds("seconds", 120);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   PlatformSim sim(sim_config, seed);
   const PlatformSimResult res =
@@ -508,7 +522,7 @@ int CmdChaos(const Flags& flags) {
   TraceGenConfig tcfg;
   tcfg.num_requests = flags.GetInt("requests", 20'000);
   tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
+  tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   FleetSimConfig chaos;
@@ -639,9 +653,11 @@ int CmdChaos(const Flags& flags) {
 
 // Instrumented platform-sim run with machine-readable artifacts: writes
 // <out>/trace.json (Chrome trace-event JSON; load in Perfetto or
-// chrome://tracing) and <out>/metrics.jsonl (one sampled row per line), and
-// prints an ASCII cost-provenance summary. Deterministic: the same flags
-// always produce the same artifact bytes.
+// chrome://tracing) and <out>/timeseries.jsonl (one tumbling window per line,
+// on the autoscaler's sample cadence), and prints an ASCII cost-provenance
+// summary. Deterministic: the same flags always produce the same artifact
+// bytes. As in `monitor`, the windows' billed USD must reconcile bit-for-bit
+// against the priced spans before anything is written (exit 2 otherwise).
 int CmdObserve(const Flags& flags) {
   const auto out = flags.Get("out");
   if (!out.has_value()) {
@@ -681,7 +697,7 @@ int CmdObserve(const Flags& flags) {
     std::fprintf(stderr, "observe: --rps must be > 0\n");
     return 1;
   }
-  const MicroSecs seconds = flags.GetInt("seconds", 60);
+  const MicroSecs seconds = flags.GetSeconds("seconds", 60);
   if (seconds <= 0) {
     std::fprintf(stderr, "observe: --seconds must be > 0\n");
     return 1;
@@ -694,9 +710,9 @@ int CmdObserve(const Flags& flags) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
 
   SpanCollector collector;
-  MetricsRegistry metrics;
+  TimeSeries series(sim_config.autoscaler.sample_interval);
   sim_config.trace = &collector;
-  sim_config.metrics = &metrics;
+  sim_config.timeseries = &series;
   PlatformSim sim(sim_config, seed);
   const PlatformSimResult res =
       sim.Run(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
@@ -721,6 +737,16 @@ int CmdObserve(const Flags& flags) {
   const BillingModel billing = MakeBillingModel(*platform);
   const ProvenanceTotals totals =
       TagPlatformSpanBilling(collector.mutable_spans(), res, sim_config, billing);
+  IngestBilledSpans(series, collector.spans());
+  const BilledReconciliation rec = ReconcileBilledUsd(series, collector.spans());
+  if (!rec.ok) {
+    std::fprintf(stderr,
+                 "observe: billed-USD reconciliation FAILED: window %lld, "
+                 "series total %.17g vs span total %.17g\n",
+                 static_cast<long long>(rec.first_mismatch_window),
+                 rec.timeseries_total, rec.span_total);
+    return cli::kIntegrityViolation;
+  }
 
   std::error_code ec;
   std::filesystem::create_directories(*out, ec);
@@ -730,9 +756,9 @@ int CmdObserve(const Flags& flags) {
     return 1;
   }
   const std::string trace_path = *out + "/trace.json";
-  const std::string metrics_path = *out + "/metrics.jsonl";
+  const std::string series_path = *out + "/timeseries.jsonl";
   if (!WriteTextFile(trace_path, ChromeTraceJson(collector.spans())) ||
-      !WriteTextFile(metrics_path, MetricsJsonl(metrics))) {
+      !WriteTextFile(series_path, TimeSeriesJsonl(series))) {
     std::fprintf(stderr, "observe: cannot write artifacts under %s\n", out->c_str());
     return 1;
   }
@@ -777,37 +803,31 @@ int CmdObserve(const Flags& flags) {
   }
   std::printf("%s", table.Render().c_str());
 
-  // Warm pool and queue depth over time, from the sampled metrics.
-  const auto column = [&](const char* name) {
-    const auto& cols = metrics.columns();
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] == name) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  };
-  const int warm_col = column("platform.warm_pool");
-  const int queue_col = column("platform.queue_depth");
-  if (!metrics.rows().empty() && warm_col >= 0 && queue_col >= 0) {
+  // Warm pool and queue depth at each autoscaler sample: the engine's
+  // timeline has the pool; the queue depth is the high-water mark of the
+  // window holding the sample (window width = sample interval, so one
+  // sample per window).
+  if (!res.timeline.empty()) {
     AsciiChart chart(72, 12);
     chart.SetTitle("warm pool (w) and queue depth (q) over time");
     chart.SetXLabel("sim time (s)");
     chart.SetYLabel("sandboxes / requests");
     ChartSeries warm{"warm pool", 'w', {}};
     ChartSeries queue{"queue depth", 'q', {}};
-    for (const MetricsRegistry::Row& row : metrics.rows()) {
-      const double t = static_cast<double>(row.time) / static_cast<double>(kMicrosPerSec);
-      warm.points.push_back({t, row.values[static_cast<size_t>(warm_col)]});
-      queue.points.push_back({t, row.values[static_cast<size_t>(queue_col)]});
+    for (const TimelineSample& sample : res.timeline) {
+      const double t = MicrosToSecs(sample.time);
+      const size_t window = static_cast<size_t>(sample.time / series.window());
+      warm.points.push_back({t, static_cast<double>(sample.ready_instances)});
+      queue.points.push_back(
+          {t, static_cast<double>(series.window_at(window).queue_depth_max)});
     }
     chart.AddSeries(std::move(warm));
     chart.AddSeries(std::move(queue));
     std::printf("%s", chart.Render().c_str());
   }
 
-  std::printf("Wrote %s (%zu spans) and %s (%zu samples)\n", trace_path.c_str(),
-              collector.spans().size(), metrics_path.c_str(), metrics.rows().size());
+  std::printf("Wrote %s (%zu spans) and %s (%zu windows)\n", trace_path.c_str(),
+              collector.spans().size(), series_path.c_str(), series.window_count());
   return 0;
 }
 
@@ -837,7 +857,7 @@ int CmdMonitor(const Flags& flags) {
     std::fprintf(stderr, "monitor: unknown platform '%s'\n", platform_name.c_str());
     return 1;
   }
-  const int64_t window_s = flags.GetInt("window", 60);
+  const int64_t window_s = flags.GetSeconds("window", 60);
   if (window_s <= 0) {
     std::fprintf(stderr, "monitor: --window must be > 0 seconds\n");
     return 1;
@@ -877,7 +897,7 @@ int CmdMonitor(const Flags& flags) {
     TraceGenConfig tcfg;
     tcfg.num_requests = flags.GetInt("requests", 20'000);
     tcfg.num_functions = flags.GetInt("functions", 200);
-    tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
+    tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
 
     FleetSimConfig cfg;
     cfg.fault_seed = seed;
@@ -942,7 +962,7 @@ int CmdMonitor(const Flags& flags) {
       return 1;
     }
     const double rps = flags.GetDouble("rps", 20.0);
-    const MicroSecs seconds = flags.GetInt("seconds", 600);
+    const MicroSecs seconds = flags.GetSeconds("seconds", 600);
     if (rps <= 0.0 || seconds <= 0) {
       std::fprintf(stderr, "monitor: --rps and --seconds must be > 0\n");
       return 1;
@@ -1111,8 +1131,8 @@ struct CheckpointPlan {
 std::optional<CheckpointPlan> ParseCheckpointPlan(const Flags& flags, bool* bad) {
   *bad = false;
   const auto path = flags.Get("checkpoint");
-  const int64_t at_s = flags.GetInt("checkpoint-at", 0);
-  const int64_t every_s = flags.GetInt("checkpoint-every", 0);
+  const int64_t at_s = flags.GetSeconds("checkpoint-at", 0);
+  const int64_t every_s = flags.GetSeconds("checkpoint-every", 0);
   if (!path.has_value()) {
     if (at_s > 0 || every_s > 0) {
       std::fprintf(stderr, "audit: --checkpoint-at/--checkpoint-every need --checkpoint\n");
@@ -1257,7 +1277,7 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
     return 1;
   }
   const double rps = flags.GetDouble("rps", 5.0);
-  const MicroSecs seconds = flags.GetInt("seconds", 120);
+  const MicroSecs seconds = flags.GetSeconds("seconds", 120);
   if (rps <= 0.0 || seconds <= 0) {
     std::fprintf(stderr, "audit: --rps and --seconds must be positive\n");
     return 1;
@@ -1328,7 +1348,7 @@ int AuditFleetSim(const Flags& flags, AuditLevel level) {
   TraceGenConfig tcfg;
   tcfg.num_requests = flags.GetInt("requests", 20'000);
   tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
+  tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
   if (tcfg.num_requests <= 0 || tcfg.num_functions <= 0 || tcfg.window <= 0) {
     std::fprintf(stderr,
                  "audit: --requests, --functions and --seconds must be positive\n");
@@ -1609,7 +1629,7 @@ int CmdNetwork(const Flags& flags) {
   TraceGenConfig tcfg;
   tcfg.num_requests = flags.GetInt("requests", 20'000);
   tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
+  tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
   // Trace records carry explicit payload hints; the model's own payload
   // distribution stays disabled so sizes are pinned by the trace.
   tcfg.payload_request_mean_kb = flags.GetDouble("req-kb", 16.0);
@@ -1655,7 +1675,7 @@ int CmdNetwork(const Flags& flags) {
 
   NetworkModel net(ncfg, MakeNetworkPricing(*platform), seed);
   SpanCollector sink;
-  TimeSeries series(flags.GetInt("window", 5) * kMicrosPerSec);
+  TimeSeries series(flags.GetSeconds("window", 5) * kMicrosPerSec);
   fcfg.network = &net;
   fcfg.trace_sink = &sink;
   fcfg.timeseries = &series;
@@ -1820,7 +1840,7 @@ int Usage() {
                "  failures --platform P --rate R       cost of failures and retries\n"
                "  chaos --platform P --mtbf-s N        cost of fleet host failures\n"
                "  observe --out DIR [--platform P]     trace one run (trace.json +\n"
-               "                                       metrics.jsonl + summary)\n"
+               "                                       timeseries.jsonl + summary)\n"
                "  monitor --out DIR [--sim fleet|platform]  windowed telemetry\n"
                "        [--window S --slo MS --slo-target F --profile-engine]\n"
                "                                       (timeseries.jsonl + alerts.jsonl)\n"

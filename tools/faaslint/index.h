@@ -12,7 +12,7 @@
 //   - every `k*Stream` / `k*StreamBase` constant with its literal value, for
 //     the RNG stream registry check;
 //   - every pointer declared with a null-sink contract type (*Sink*,
-//     Auditor, NetworkModel, MetricsRegistry, TimeSeries);
+//     Auditor, NetworkModel, TimeSeries, EngineProfiler);
 //   - concurrency-readiness sites: mutable namespace-scope variables,
 //     mutable function-local statics, and unordered-container members of
 //     types that expose a Step/Run hot path.
