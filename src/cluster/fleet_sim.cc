@@ -25,6 +25,27 @@ struct LiveSandbox {
   int host = -1;      // Fault domain (only set when host faults are enabled).
 };
 
+// One function's sandboxes. `sandboxes` only grows: it is the archived
+// history. `scan` is the derived dispatch index, the ascending positions of
+// the entries a dispatch may still touch. The sweep drops dead entries and
+// entries already examined past their keep-alive window: such an entry had
+// its whole host-fault window checked, so re-checking it draws nothing new,
+// and it can never be reused. Not archived; Resume rebuilds it from the
+// `dead` flags.
+struct FunctionPool {
+  std::vector<LiveSandbox> sandboxes;
+  std::vector<size_t> scan;
+
+  void RebuildScan() {
+    scan.clear();
+    for (size_t i = 0; i < sandboxes.size(); ++i) {
+      if (!sandboxes[i].dead) {
+        scan.push_back(i);
+      }
+    }
+  }
+};
+
 // One dispatch (initial or retry) waiting to be processed. Ordering by
 // (arrival, seq) with seq = trace index for initial attempts reproduces the
 // fault-free per-record iteration order exactly. An attempt parked in an
@@ -176,7 +197,7 @@ struct FleetEngine::Impl {
   AttemptQueue pending;
   int64_t next_seq = 0;
   // Per-function sandbox pools, fed in global (arrival, seq) order.
-  std::unordered_map<int64_t, std::vector<LiveSandbox>> pools;
+  std::unordered_map<int64_t, FunctionPool> pools;
   // Per-function admission queue occupancy and client circuit breakers.
   std::unordered_map<int64_t, int> queue_waiting;
   std::unordered_map<int64_t, CircuitBreaker> breakers;
@@ -366,6 +387,38 @@ struct FleetEngine::Impl {
                                 std::to_string(flagged) + " counter=" +
                                 std::to_string(waiting_now);
                        });
+    // Derived dispatch index: each pool's scan list is strictly ascending,
+    // in range, and lists every non-dead sandbox whose keep-alive window
+    // has not passed `now`, so the sweep sees every sandbox it could use.
+    for (const auto& [fid, pool] : pools) {
+      const std::vector<size_t>& scan = pool.scan;
+      bool ordered = true;
+      for (size_t k = 0; k < scan.size(); ++k) {
+        ordered = ordered && scan[k] < pool.sandboxes.size() &&
+                  (k == 0 || scan[k - 1] < scan[k]);
+      }
+      size_t missing = pool.sandboxes.size();
+      for (size_t i = 0, k = 0; ordered && i < pool.sandboxes.size(); ++i) {
+        while (k < scan.size() && scan[k] < i) {
+          ++k;
+        }
+        const LiveSandbox& sb = pool.sandboxes[i];
+        const bool listed = k < scan.size() && scan[k] == i;
+        if (!listed && !sb.dead && sb.available_at + config.keepalive >= now) {
+          missing = i;
+          break;
+        }
+      }
+      auditor->CheckLazy(ordered && missing == pool.sandboxes.size(), "fleet.scan_index",
+                         now, config.fault_seed,
+                         [&] { return "function " + std::to_string(fid); },
+                         [&] {
+                           return ordered ? "usable sandbox " + std::to_string(missing) +
+                                                " missing from the scan index"
+                                          : std::string("scan index not ascending or out "
+                                                        "of range");
+                         });
+    }
     // Capacity accounting: one sandbox span per cold start, ever.
     auditor->CheckLazy(
         result.cold_starts == static_cast<int64_t>(result.spans.size()),
@@ -442,12 +495,19 @@ struct FleetEngine::Impl {
       return;
     }
 
-    auto& pool = pools[r.function_id];
+    FunctionPool& pool = pools[r.function_id];
     // Sweep idle sandboxes for host deaths, then reuse the most recently
-    // freed idle unexpired survivor.
+    // freed idle unexpired survivor. The sweep compacts the scan index in
+    // place, keeping its order.
     LiveSandbox* reuse = nullptr;
-    for (auto& sb : pool) {
-      if (sb.dead || sb.available_at > at.arrival) {
+    size_t kept = 0;
+    for (const size_t pos : pool.scan) {
+      LiveSandbox& sb = pool.sandboxes[pos];
+      if (sb.dead) {
+        continue;
+      }
+      if (sb.available_at > at.arrival) {
+        pool.scan[kept++] = pos;  // Busy.
         continue;
       }
       if (hosts_on && sb.host >= 0) {
@@ -463,18 +523,23 @@ struct FleetEngine::Impl {
           continue;
         }
       }
-      if (at.arrival - sb.available_at <= config.keepalive &&
-          (reuse == nullptr || sb.available_at > reuse->available_at)) {
+      if (at.arrival - sb.available_at > config.keepalive) {
+        continue;  // Expired, and its whole keep-alive window was checked.
+      }
+      pool.scan[kept++] = pos;
+      if (reuse == nullptr || sb.available_at > reuse->available_at) {
         reuse = &sb;
       }
     }
+    pool.scan.resize(kept);
 
     // Per-function sandbox cap: no warm sandbox and no room to scale out
     // means queueing (admission control), shedding, or plain rejection.
     if (reuse == nullptr && cap > 0) {
       int busy = 0;
       MicroSecs next_free = std::numeric_limits<MicroSecs>::max();
-      for (const auto& sb : pool) {
+      for (const size_t pos : pool.scan) {
+        const LiveSandbox& sb = pool.sandboxes[pos];
         if (!sb.dead && sb.available_at > at.arrival) {
           ++busy;
           next_free = std::min(next_free, sb.available_at);
@@ -645,7 +710,10 @@ struct FleetEngine::Impl {
         span.destroyed_at = end;
       }
       result.spans.push_back(span);
-      pool.push_back(sb);
+      if (!sb.dead) {
+        pool.scan.push_back(pool.sandboxes.size());
+      }
+      pool.sandboxes.push_back(sb);
       ++result.cold_starts;
     }
 
@@ -828,20 +896,23 @@ struct FleetEngine::Impl {
     }
 
     {
-      std::vector<std::pair<int64_t, std::vector<LiveSandbox>>> sorted;
+      std::vector<int64_t> fids;
       if constexpr (!Ar::kLoading) {
-        sorted.assign(pools.begin(), pools.end());
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        fids.reserve(pools.size());
+        for (const auto& [fid, pool] : pools) {
+          fids.push_back(fid);
+        }
+        std::sort(fids.begin(), fids.end());
       }
-      const size_t n = ar.BeginArray("pools", sorted.size());
+      const size_t n = ar.BeginArray("pools", fids.size());
       if constexpr (Ar::kLoading) {
-        sorted.resize(n);
+        fids.resize(n);
+        pools.clear();
       }
       for (size_t i = 0; i < n; ++i) {
         ar.BeginElem();
-        ar.Field("fid", sorted[i].first);
-        std::vector<LiveSandbox>& pool = sorted[i].second;
+        ar.Field("fid", fids[i]);
+        std::vector<LiveSandbox>& pool = pools[fids[i]].sandboxes;
         const size_t m = ar.BeginArray("sandboxes", pool.size());
         if constexpr (Ar::kLoading) {
           pool.resize(m);
@@ -863,12 +934,6 @@ struct FleetEngine::Impl {
         ar.EndElem();
       }
       ar.EndArray();
-      if constexpr (Ar::kLoading) {
-        pools.clear();
-        for (auto& [fid, pool] : sorted) {
-          pools.emplace(fid, std::move(pool));
-        }
-      }
     }
 
     {
@@ -1028,6 +1093,9 @@ void FleetEngine::Resume(const std::vector<RequestRecord>& trace,
   im.billing = billing;
   Loader ar(&state);
   im.Archive(ar);
+  for (auto& [fid, pool] : im.pools) {
+    pool.RebuildScan();
+  }
 }
 
 void FleetEngine::AdvanceUntil(MicroSecs t) {
@@ -1069,7 +1137,7 @@ FleetResult FleetEngine::Finish() {
   }
   std::sort(pool_fids.begin(), pool_fids.end());
   for (const int64_t fid : pool_fids) {
-    for (const auto& sb : im.pools[fid]) {
+    for (const auto& sb : im.pools[fid].sandboxes) {
       if (sb.dead) {
         continue;
       }

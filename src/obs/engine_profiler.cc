@@ -1,6 +1,5 @@
 #include "src/obs/engine_profiler.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/json_writer.h"
@@ -35,21 +34,6 @@ void EngineProfiler::RegisterEventType(int type, const char* name) {
   }
   EnsureType(type);
   type_names_[static_cast<size_t>(type)] = name;
-}
-
-void EngineProfiler::CountEvent(int type, MicroSecs sim_time, size_t queue_depth) {
-  if (type < 0) {
-    return;
-  }
-  EnsureType(type);
-  ++events_by_type_[static_cast<size_t>(type)];
-  ++events_total_;
-  queue_depth_peak_ =
-      std::max(queue_depth_peak_, static_cast<int64_t>(queue_depth));
-  if (++since_sample_ >= sample_every_) {
-    since_sample_ = 0;
-    queue_samples_.push_back({sim_time, static_cast<int64_t>(queue_depth)});
-  }
 }
 
 int64_t EngineProfiler::EventsOfType(int type) const {

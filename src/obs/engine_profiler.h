@@ -17,6 +17,7 @@
 #ifndef FAASCOST_OBS_ENGINE_PROFILER_H_
 #define FAASCOST_OBS_ENGINE_PROFILER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,7 +36,22 @@ class EngineProfiler {
   void RegisterEventType(int type, const char* name);
 
   // One engine event: counts by type and samples queue depth on the cadence.
-  void CountEvent(int type, MicroSecs sim_time, size_t queue_depth);
+  // Inline because engines call it once per event.
+  void CountEvent(int type, MicroSecs sim_time, size_t queue_depth) {
+    if (type < 0) {
+      return;
+    }
+    if (static_cast<size_t>(type) >= events_by_type_.size()) {
+      EnsureType(type);
+    }
+    ++events_by_type_[static_cast<size_t>(type)];
+    ++events_total_;
+    queue_depth_peak_ = std::max(queue_depth_peak_, static_cast<int64_t>(queue_depth));
+    if (++since_sample_ >= sample_every_) {
+      since_sample_ = 0;
+      queue_samples_.push_back({sim_time, static_cast<int64_t>(queue_depth)});
+    }
+  }
 
   // RNG accounting, reported by the engine at the end of the run (e.g. from
   // Rng::draw_count()).

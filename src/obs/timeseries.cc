@@ -260,20 +260,6 @@ WindowStats& TimeSeries::WindowForSlow(MicroSecs t) {
   return windows_[static_cast<size_t>(index)];
 }
 
-void TimeSeries::RecordCompletion(MicroSecs t, bool ok, MicroSecs latency) {
-  WindowStats& w = WindowFor(t);
-  ++w.completions;
-  if (!ok) {
-    ++w.failures;
-  }
-  w.latency_us.Observe(static_cast<double>(latency));
-  for (size_t i = 0; i < objectives_.size(); ++i) {
-    if (ok && latency <= objectives_[i]) {
-      ++w.good[i];
-    }
-  }
-}
-
 void TimeSeries::RecordExecution(MicroSecs start, MicroSecs end) {
   if (end <= start) {
     return;

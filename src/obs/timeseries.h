@@ -195,7 +195,19 @@ class TimeSeries {
   }
   // Terminal resolution of a request: success flag and end-to-end latency.
   // Also feeds the per-objective good counters registered above.
-  void RecordCompletion(MicroSecs t, bool ok, MicroSecs latency);
+  void RecordCompletion(MicroSecs t, bool ok, MicroSecs latency) {
+    WindowStats& w = WindowFor(t);
+    ++w.completions;
+    if (!ok) {
+      ++w.failures;
+    }
+    w.latency_us.Observe(static_cast<double>(latency));
+    for (size_t i = 0; i < objectives_.size(); ++i) {
+      if (ok && latency <= objectives_[i]) {
+        ++w.good[i];
+      }
+    }
+  }
   void RecordRetry(MicroSecs t) { ++WindowFor(t).retries; }
   // Billed USD at the attempt's terminal-span end time. Call exactly where
   // the terminal span is priced, in the same order — reconciliation is

@@ -225,6 +225,21 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
     errors.push_back("drain_deadline must be >= 0 (0 = drains kill at once), got " +
                      std::to_string(drain_deadline));
   }
+  // The timeline sampler always runs and the evaluator runs with the
+  // autoscaler; each re-arms itself one period later, so a period <= 0
+  // would fire forever at the same instant.
+  if (autoscaler.sample_interval <= 0) {
+    errors.push_back("autoscaler.sample_interval must be > 0, got " +
+                     std::to_string(autoscaler.sample_interval));
+  }
+  if (autoscaler_enabled && autoscaler.eval_interval <= 0) {
+    errors.push_back("autoscaler.eval_interval must be > 0, got " +
+                     std::to_string(autoscaler.eval_interval));
+  }
+  if (autoscaler_enabled && autoscaler.metric_window <= 0) {
+    errors.push_back("autoscaler.metric_window must be > 0, got " +
+                     std::to_string(autoscaler.metric_window));
+  }
   return errors;
 }
 
@@ -257,7 +272,12 @@ struct PlatformEngine::Impl {
   WindowedAutoscaler scaler;
 
   EventQueue queue;
-  std::vector<SandboxState> sandboxes;
+  std::vector<SandboxState> sandboxes;  // Every sandbox ever created, by id.
+  // Ids of the non-dead sandboxes, ascending: the only ones a dispatch,
+  // scaler or sampler can use. Derived from the `dead` flags, so it is not
+  // archived; LoadState rebuilds it. Ascending order keeps every scan's
+  // tie-breaks and RNG draws those of a walk over `sandboxes`.
+  std::vector<int> live;
   std::deque<int> global_queue;  // Attempts waiting for capacity (multi model).
   std::vector<int> next_attempt_no;
   std::vector<uint8_t> attempt_open;     // Server side not yet concluded.
@@ -340,9 +360,13 @@ struct PlatformEngine::Impl {
   }
 
   // Closes out a sandbox: emits its drain and lifetime spans, then marks it
-  // dead. Every death site funnels through here.
+  // dead and drops it from `live`. Every death site funnels through here.
   void RetireSandbox(SandboxState& s) {
     s.dead = true;
+    const auto it = std::lower_bound(live.begin(), live.end(), s.id);
+    if (it != live.end() && *it == s.id) {
+      live.erase(it);
+    }
     if (trace == nullptr) {
       return;
     }
@@ -441,22 +465,27 @@ struct PlatformEngine::Impl {
 
   int ReadyCount() const {
     int n = 0;
-    for (const auto& s : sandboxes) {
-      if (!s.dead && !s.initializing && !s.draining) {
+    for (const int id : live) {
+      const SandboxState& s = sandboxes[static_cast<size_t>(id)];
+      if (!s.initializing && !s.draining) {
         ++n;
       }
     }
     return n;
   }
 
-  int AliveCount() const {
-    int n = 0;
+  int AliveCount() const { return static_cast<int>(live.size()); }
+
+  // What `live` must equal: LoadState rebuilds it from this, AuditScan
+  // checks it against this.
+  std::vector<int> NonDeadIds() const {
+    std::vector<int> ids;
     for (const auto& s : sandboxes) {
       if (!s.dead) {
-        ++n;
+        ids.push_back(s.id);
       }
     }
-    return n;
+    return ids;
   }
 
   SandboxState& CreateSandbox() {
@@ -477,6 +506,7 @@ struct PlatformEngine::Impl {
     s.ready_at = now + init;
     sandboxes.push_back(std::move(s));
     SandboxState& ref = sandboxes.back();
+    live.push_back(ref.id);
     queue.push({ref.ready_at, EventType::kInitDone, ref.id, ref.gen});
     return ref;
   }
@@ -667,8 +697,9 @@ struct PlatformEngine::Impl {
     while (!global_queue.empty()) {
       SandboxState* best = nullptr;
       int eligible = 0;
-      for (auto& s : sandboxes) {
-        if (s.dead || s.initializing || s.draining) {
+      for (const int id : live) {
+        SandboxState& s = sandboxes[static_cast<size_t>(id)];
+        if (s.initializing || s.draining) {
           continue;
         }
         if (static_cast<int>(s.inflight.size()) >= config.concurrency_limit) {
@@ -723,8 +754,9 @@ struct PlatformEngine::Impl {
     }
     while (!global_queue.empty()) {
       SandboxState* best = nullptr;
-      for (auto& s : sandboxes) {
-        if (s.dead || s.draining || s.initializing || !s.inflight.empty()) {
+      for (const int id : live) {
+        SandboxState& s = sandboxes[static_cast<size_t>(id)];
+        if (s.draining || s.initializing || !s.inflight.empty()) {
           continue;
         }
         if (s.ka_deadline >= 0 && s.ka_deadline <= now) {
@@ -781,8 +813,9 @@ struct PlatformEngine::Impl {
     if (!multi) {
       // Reuse the most recently used warm idle sandbox, else cold start.
       SandboxState* best = nullptr;
-      for (auto& s : sandboxes) {
-        if (s.dead || s.draining || s.initializing || !s.inflight.empty()) {
+      for (const int id : live) {
+        SandboxState& s = sandboxes[static_cast<size_t>(id)];
+        if (s.draining || s.initializing || !s.inflight.empty()) {
           continue;
         }
         if (s.ka_deadline >= 0 && s.ka_deadline <= now) {
@@ -828,10 +861,8 @@ struct PlatformEngine::Impl {
     // instance cap with no spare concurrency anywhere and nothing warming up.
     if (config.faults.reject_on_overload && AliveCount() >= config.max_instances) {
       bool spare = false;
-      for (const auto& s : sandboxes) {
-        if (s.dead) {
-          continue;
-        }
+      for (const int id : live) {
+        const SandboxState& s = sandboxes[static_cast<size_t>(id)];
         if (s.initializing || static_cast<int>(s.inflight.size()) < config.concurrency_limit) {
           spare = true;
           break;
@@ -976,6 +1007,15 @@ struct PlatformEngine::Impl {
                  std::to_string(dead + initializing + draining + busy + idle) +
                  " of " + std::to_string(sandboxes.size());
         });
+    // Derived dispatch index: `live` is exactly the ascending ids of the
+    // non-dead sandboxes, so scanning it matches scanning every sandbox.
+    const std::vector<int> non_dead = NonDeadIds();
+    auditor->CheckLazy(live == non_dead, "platform.live_index", now, seed,
+                       [] { return "live index"; },
+                       [&] {
+                         return "live=" + std::to_string(live.size()) +
+                                " non_dead=" + std::to_string(non_dead.size());
+                       });
   }
 
   void StepOne() {
@@ -1267,24 +1307,25 @@ struct PlatformEngine::Impl {
         } else if (desired < ready && global_queue.empty() && cooled_down) {
           // Scale down surplus idle instances.
           int to_remove = ready - desired;
-          for (auto& s : sandboxes) {
-            if (to_remove <= 0) {
-              break;
-            }
-            if (!s.dead && !s.initializing && !s.draining && s.inflight.empty()) {
+          for (size_t i = 0; i < live.size() && to_remove > 0;) {
+            SandboxState& s = sandboxes[static_cast<size_t>(live[i])];
+            if (!s.initializing && !s.draining && s.inflight.empty()) {
               Advance(s);
-              RetireSandbox(s);
+              RetireSandbox(s);  // Erases live[i]; the next id slides into i.
               --to_remove;
+            } else {
+              ++i;
             }
           }
           if (config.scaledown_drains_busy) {
             // Graceful degradation: surplus busy instances stop taking new
             // work and get drain_deadline to finish what they hold.
-            for (auto& s : sandboxes) {
+            for (const int id : live) {
               if (to_remove <= 0) {
                 break;
               }
-              if (!s.dead && !s.initializing && !s.draining && !s.inflight.empty()) {
+              SandboxState& s = sandboxes[static_cast<size_t>(id)];
+              if (!s.initializing && !s.draining && !s.inflight.empty()) {
                 Advance(s);
                 s.draining = true;
                 s.drain_started = now;
@@ -1306,10 +1347,8 @@ struct PlatformEngine::Impl {
         sample.time = now;
         double util_sum = 0.0;
         int ready = 0;
-        for (auto& s : sandboxes) {
-          if (s.dead) {
-            continue;
-          }
+        for (const int id : live) {
+          SandboxState& s = sandboxes[static_cast<size_t>(id)];
           ++sample.instances;
           if (!s.initializing) {
             ++ready;
@@ -1728,6 +1767,7 @@ void PlatformEngine::LoadState(const JsonValue& state) {
   im.started = true;
   Loader ar(&state);
   im.Archive(ar);
+  im.live = im.NonDeadIds();
 }
 
 uint64_t PlatformEngine::Digest() {

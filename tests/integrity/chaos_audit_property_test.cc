@@ -18,6 +18,7 @@
 #include "src/platform/workload.h"
 #include "src/sched/host_sim.h"
 #include "src/trace/generator.h"
+#include "tests/integrity/churn_scenarios.h"
 
 namespace faascost {
 namespace {
@@ -83,6 +84,30 @@ TEST(ChaosAuditProperty, FleetZeroViolationsAcrossSeeds) {
     EXPECT_GT(auditor.checks_run(), 0) << "seed " << seed;
     EXPECT_GT(auditor.scans_run(), 0) << "seed " << seed;
     ASSERT_NO_THROW(AuditFleetRun(res, cfg, auditor)) << "seed " << seed;
+  }
+}
+
+// The multi-concurrency and capped-fleet dispatch paths under a dense scan
+// cadence, so the derived-index invariants (platform.live_index,
+// fleet.scan_index) are checked mid-churn, not only on single-concurrency
+// and uncapped runs.
+TEST(ChaosAuditProperty, ChurnScenariosZeroViolations) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Auditor auditor(AuditLevel::kFull, /*scan_cadence_events=*/16);
+    PlatformSimConfig cfg = ChurnyGcpConfig();
+    cfg.auditor = &auditor;
+    PlatformSim sim(cfg, seed);
+    ASSERT_NO_THROW(sim.Run(ChurnyGcpArrivals(), ChurnyGcpWorkload())) << "seed " << seed;
+    EXPECT_GT(auditor.scans_run(), 0) << "seed " << seed;
+  }
+  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Auditor auditor(AuditLevel::kFull, /*scan_cadence_events=*/16);
+    FleetSimConfig cfg = CappedFleetConfig(seed);
+    cfg.auditor = &auditor;
+    const std::vector<RequestRecord> trace = CappedFleetTrace(seed);
+    ASSERT_NO_THROW(SimulateFleet(trace, billing, cfg)) << "seed " << seed;
+    EXPECT_GT(auditor.scans_run(), 0) << "seed " << seed;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
 #include "src/trace/generator.h"
+#include "tests/integrity/churn_scenarios.h"
 
 namespace faascost {
 namespace {
@@ -156,6 +157,67 @@ TEST(CheckpointResume, FleetSaveIsByteStableAcrossRestore) {
   FleetEngine restored(cfg);
   restored.Resume(trace, billing, ParseJson(state));
   EXPECT_EQ(SaveFleetState(restored), state);
+}
+
+// The derived dispatch indexes are not archived: a restore rebuilds them
+// from the archived sandbox state. These two scenarios stop mid-churn, with
+// sandboxes draining, dead, and queued behind a cap, so a rebuilt index that
+// differs from the live one shows up as a diverged end digest.
+TEST(CheckpointResume, ChurnyGcpRunToEndEqualsResume) {
+  const PlatformSimConfig cfg = ChurnyGcpConfig();
+  const std::vector<MicroSecs> arrivals = ChurnyGcpArrivals();
+  for (const uint64_t seed : {1ULL, 2ULL}) {
+    PlatformEngine straight(cfg, seed);
+    straight.Start(arrivals, ChurnyGcpWorkload());
+    straight.RunToEnd();
+    const uint64_t want = straight.Digest();
+
+    for (const MicroSecs stop : {45 * kSec, 75 * kSec, 130 * kSec}) {
+      PlatformEngine first(cfg, seed);
+      first.Start(arrivals, ChurnyGcpWorkload());
+      first.AdvanceUntil(stop);
+      ASSERT_FALSE(first.done()) << "seed " << seed << ": stop time is not mid-run";
+      const std::string state = SavePlatformState(first);
+
+      PlatformEngine resumed(cfg, seed);
+      resumed.LoadState(ParseJson(state));
+      EXPECT_EQ(SavePlatformState(resumed), state) << "seed " << seed << " stop " << stop;
+      resumed.RunToEnd();
+      EXPECT_EQ(resumed.Digest(), want) << "seed " << seed << " stop " << stop;
+    }
+  }
+}
+
+TEST(CheckpointResume, CappedFleetRunToEndEqualsResume) {
+  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
+  for (const uint64_t seed : {7ULL, 8ULL}) {
+    const FleetSimConfig cfg = CappedFleetConfig(seed);
+    const std::vector<RequestRecord> trace = CappedFleetTrace(seed);
+    FleetEngine straight(cfg);
+    straight.Start(trace, billing);
+    straight.RunToEnd();
+    const uint64_t want = straight.Digest();
+    const FleetResult a = straight.Finish();
+
+    for (const MicroSecs stop : {30 * kSec, 90 * kSec}) {
+      FleetEngine first(cfg);
+      first.Start(trace, billing);
+      first.AdvanceUntil(stop);
+      ASSERT_FALSE(first.done()) << "seed " << seed << ": stop time is not mid-run";
+      const std::string state = SaveFleetState(first);
+
+      FleetEngine resumed(cfg);
+      resumed.Resume(trace, billing, ParseJson(state));
+      EXPECT_EQ(SaveFleetState(resumed), state) << "seed " << seed << " stop " << stop;
+      resumed.RunToEnd();
+      EXPECT_EQ(resumed.Digest(), want) << "seed " << seed << " stop " << stop;
+
+      const FleetResult b = resumed.Finish();
+      EXPECT_EQ(a.attempts, b.attempts);
+      EXPECT_EQ(a.host_fault_sandbox_kills, b.host_fault_sandbox_kills);
+      EXPECT_DOUBLE_EQ(a.hardware_cost, b.hardware_cost);
+    }
+  }
 }
 
 // --- Checkpoint file format ---

@@ -16,6 +16,7 @@
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
 #include "src/trace/generator.h"
+#include "tests/integrity/churn_scenarios.h"
 
 namespace faascost {
 namespace {
@@ -155,6 +156,53 @@ TEST(EngineDigest, GoldenPlatform) {
 TEST(EngineDigest, GoldenFleet) {
   EXPECT_EQ(FleetEndDigest(7), 0x87b4167b2b67c01cULL);
   EXPECT_EQ(FleetEndDigest(8), 0xfc2ce4fbd2d622b6ULL);
+}
+
+uint64_t ChurnyGcpEndDigest(uint64_t seed) {
+  PlatformEngine engine(ChurnyGcpConfig(), seed);
+  engine.Start(ChurnyGcpArrivals(), ChurnyGcpWorkload());
+  engine.RunToEnd();
+  return engine.Digest();
+}
+
+uint64_t CappedFleetEndDigest(uint64_t seed) {
+  const std::vector<RequestRecord> trace = CappedFleetTrace(seed);  // Outlives the run.
+  FleetEngine engine(CappedFleetConfig(seed));
+  engine.Start(trace, MakeBillingModel(Platform::kAwsLambda));
+  engine.RunToEnd();
+  return engine.Digest();
+}
+
+// The two scenarios below must keep reaching the paths they exist to pin;
+// a golden over a run that never drains or never queues pins nothing.
+TEST(EngineDigest, ChurnScenariosReachTheirPaths) {
+  for (const uint64_t seed : {1ULL, 2ULL}) {
+    PlatformSim gcp(ChurnyGcpConfig(), seed);
+    const PlatformSimResult p = gcp.Run(ChurnyGcpArrivals(), ChurnyGcpWorkload());
+    EXPECT_GT(p.rejected_attempts, 0) << "seed " << seed;
+    EXPECT_GT(p.crash_attempts, 0) << "seed " << seed;
+    EXPECT_GT(p.drained_sandboxes, 0) << "seed " << seed;
+    EXPECT_GT(p.drain_killed_attempts, 0) << "seed " << seed;
+    EXPECT_GT(p.sandboxes.size(), 6U) << "seed " << seed;  // Scaled in and out again.
+  }
+  for (const uint64_t seed : {7ULL, 8ULL}) {
+    const std::vector<RequestRecord> trace = CappedFleetTrace(seed);
+    const FleetResult f =
+        SimulateFleet(trace, MakeBillingModel(Platform::kAwsLambda), CappedFleetConfig(seed));
+    EXPECT_GT(f.queued_attempts, 0) << "seed " << seed;
+    EXPECT_GT(f.queue_timeout_attempts + f.rejected_attempts, 0) << "seed " << seed;
+    EXPECT_GT(f.host_fault_sandbox_kills, 0) << "seed " << seed;
+  }
+}
+
+TEST(EngineDigest, GoldenChurnyGcp) {
+  EXPECT_EQ(ChurnyGcpEndDigest(1), 0x3e06b1c2c0df81bdULL);
+  EXPECT_EQ(ChurnyGcpEndDigest(2), 0x1ff8afba0878e9ceULL);
+}
+
+TEST(EngineDigest, GoldenCappedFleet) {
+  EXPECT_EQ(CappedFleetEndDigest(7), 0x405891efa2075d34ULL);
+  EXPECT_EQ(CappedFleetEndDigest(8), 0x4495e1006709d4baULL);
 }
 
 }  // namespace

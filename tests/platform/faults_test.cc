@@ -52,6 +52,23 @@ TEST(PlatformSimConfigValidation, ConstructorThrowsOnBadConfig) {
   cfg = AwsLambdaPlatform(1.0, 1'769.0);
   cfg.retry.backoff_base = -1;
   EXPECT_THROW(PlatformSim(cfg, 1), std::invalid_argument);
+  // A zero period would re-arm the sampler at the same instant forever.
+  cfg = AwsLambdaPlatform(1.0, 1'769.0);
+  cfg.autoscaler.sample_interval = 0;
+  EXPECT_THROW(PlatformSim(cfg, 1), std::invalid_argument);
+  cfg.autoscaler.sample_interval = -1;
+  EXPECT_THROW(PlatformEngine(cfg, 1), std::invalid_argument);
+  cfg = GcpPlatform(1.0, 1'024.0);
+  cfg.autoscaler.eval_interval = 0;
+  EXPECT_THROW(PlatformSim(cfg, 1), std::invalid_argument);
+  cfg = GcpPlatform(1.0, 1'024.0);
+  cfg.autoscaler.metric_window = 0;
+  EXPECT_THROW(PlatformSim(cfg, 1), std::invalid_argument);
+  // Without the autoscaler the evaluator never runs and its settings are inert.
+  cfg = AwsLambdaPlatform(1.0, 1'769.0);
+  cfg.autoscaler.eval_interval = 0;
+  cfg.autoscaler.metric_window = 0;
+  EXPECT_NO_THROW(PlatformSim(cfg, 1));
 }
 
 // --- Backoff ---

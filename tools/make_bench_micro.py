@@ -30,6 +30,12 @@ own stddev aggregates: noise_pct = 100 * sqrt(cv_base^2 + cv_inst^2), the
 relative standard deviation of the throughput ratio, floored at
 NOISE_FLOOR_PCT and widened by NOISE_SIGMAS.
 
+The growth gate holds the ROADMAP rule that per-request cost stays flat as
+the trace grows. For each GROWTH_PAIRS entry it takes ns/request at the
+large size over ns/request at the small size, paired within one process
+like the overhead ratios, and fails only when every process puts the ratio
+above GROWTH_MAX.
+
 Usage: make_bench_micro.py <google-benchmark.json>... <BENCH_micro.json>
 """
 
@@ -51,6 +57,14 @@ OVERHEAD_PAIRS = [
      "BM_PlatformSimThousandRequestsMonitored"),
     ("fleet_monitored", "BM_FleetSimDay/50000", "BM_FleetSimDayMonitored/50000"),
 ]
+# (label, small benchmark, large benchmark) — ns/request growth between them.
+GROWTH_PAIRS = [
+    ("fleet", "BM_FleetSimDay/50000", "BM_FleetSimDay/1000000"),
+]
+# Bound on the large/small ns-per-request ratio. Nine bench processes on a
+# shared 4-vCPU Xeon measured 0.96-1.35 for the fleet pair (median 1.10);
+# the rest is margin for that host's noise.
+GROWTH_MAX = 1.5
 
 
 def load_one(path):
@@ -163,20 +177,44 @@ def main():
         print(f"  {label}: instrumented {pct:+.1f}% vs detached "
               f"(runs {spread}), noise {noise_pct:.1f}% ({status})")
 
+    growth = {"max_ratio": GROWTH_MAX, "runs": len(inputs)}
+    growth_failed = False
+    for label, small, large in GROWTH_PAIRS:
+        ratios = [run_medians[large]["ns_per_item"] / run_medians[small]["ns_per_item"]
+                  for run_medians, _ in runs
+                  if small in run_medians and large in run_medians]
+        if not ratios:
+            print(f"make_bench_micro: missing growth pair for {label}", file=sys.stderr)
+            growth_failed = True
+            continue
+        # Consensus again: only a ratio every process agrees on fails.
+        ratio = min(ratios)
+        growth[label + "_ratio"] = round(ratio, 3)
+        growth[label + "_spread"] = [round(r, 3) for r in ratios]
+        over = all(r > GROWTH_MAX for r in ratios)
+        growth_failed = growth_failed or over
+        spread = "/".join(f"{r:.2f}" for r in ratios)
+        print(f"  {label} growth: ns/request {large} / {small} = {ratio:.2f}x "
+              f"(runs {spread}), bound {GROWTH_MAX:.2f}x "
+              f"({'OVER BOUND' if over else 'OK'})")
+
     with open(out_path, "w") as f:
         json.dump({
             "generator": "bench_micro_simulators (best median across runs)",
             "context": context,
             "benchmarks": medians,
             "integrity_overhead": overhead,
+            "per_request_growth": growth,
         }, f, indent=2, sort_keys=True)
         f.write("\n")
 
     if failed:
         print("make_bench_micro: overhead gate failed — over the "
               f"{BUDGET_PCT:.0f}% budget or negative beyond noise", file=sys.stderr)
-        return 1
-    return 0
+    if growth_failed:
+        print("make_bench_micro: growth gate failed — per-request cost grows past "
+              f"{GROWTH_MAX:.2f}x from the small to the large trace", file=sys.stderr)
+    return 1 if failed or growth_failed else 0
 
 
 if __name__ == "__main__":
