@@ -6,6 +6,7 @@
 #include "src/billing/analysis.h"
 #include "src/billing/catalog.h"
 #include "src/cluster/fleet_sim.h"
+#include "src/integrity/audit_rules.h"
 #include "src/integrity/integrity.h"
 #include "src/obs/engine_profiler.h"
 #include "src/obs/span.h"
@@ -269,6 +270,39 @@ void BM_WorkflowSimChains(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 200 * 5);
 }
 BENCHMARK(BM_WorkflowSimChains);
+
+// End-of-run workflow audit (the audit layer): 2,000 six-hop fan-out DAGs
+// with hedging, retries and a zonal outage are simulated once, outside the
+// timed loop; each iteration re-audits that result at full level. Items are
+// hop attempts audited.
+void BM_AuditWorkflowRun(benchmark::State& state) {
+  WorkflowSimConfig cfg;
+  HopSpec proto;
+  proto.exec_mean = MillisToMicros(80.0);
+  cfg.dags.push_back(MakeFanOutDag("bench", 6, 4, proto));
+  cfg.workflows = 2'000;
+  cfg.wps = 4.0;
+  cfg.zones = 3;
+  cfg.failure_rate = 0.05;
+  cfg.init_failure_rate = 0.0125;
+  cfg.policy.retry.max_attempts = 3;
+  cfg.policy.hedge.hedge_after = MillisToMicros(600.0);
+  ZonalOutageSpec outage;
+  outage.zone = 1;
+  outage.start = 10 * kMicrosPerSec;
+  outage.duration = 60 * kMicrosPerSec;
+  cfg.outages.push_back(outage);
+  cfg.pricing = MakeWorkflowPricing(Platform::kAwsLambda);
+  const BillingModel aws = MakeBillingModel(Platform::kAwsLambda);
+  const WorkflowSimResult r = SimulateWorkflows(cfg, aws, 9);
+  for (auto _ : state) {
+    Auditor auditor(AuditLevel::kFull);
+    AuditWorkflowRun(r, cfg, 9, auditor, aws);
+    benchmark::DoNotOptimize(auditor.checks_run());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(r.attempts.size()));
+}
+BENCHMARK(BM_AuditWorkflowRun);
 
 }  // namespace
 }  // namespace faascost

@@ -203,11 +203,16 @@ class FleetEngine {
   FleetEngine& operator=(FleetEngine&&) noexcept;
 
   // Seeds the attempt queue from the trace. Call exactly one of Start/Resume.
+  // The engine keeps a pointer to `trace`, which must outlive it; the deleted
+  // rvalue overloads reject a temporary trace at compile time.
   void Start(const std::vector<RequestRecord>& trace, const BillingModel& billing);
+  void Start(const std::vector<RequestRecord>&& trace, const BillingModel& billing) = delete;
   // Restores mutable state from a checkpoint's "state" blob; the caller must
   // pass the same trace and billing model the checkpoint was taken under.
   void Resume(const std::vector<RequestRecord>& trace, const BillingModel& billing,
               const JsonValue& state);
+  void Resume(const std::vector<RequestRecord>&& trace, const BillingModel& billing,
+              const JsonValue& state) = delete;
 
   // Processes every pending attempt with arrival <= t.
   void AdvanceUntil(MicroSecs t);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 namespace faascost {
 
@@ -44,57 +45,65 @@ void AuditPlatformRun(const PlatformSimResult& result, const PlatformSimConfig& 
   const int64_t taxonomy = result.init_failure_attempts + result.crash_attempts +
                            result.timeout_attempts + result.rejected_attempts +
                            result.circuit_open_attempts;
-  auditor.Check(taxonomy == result.failed_attempts, "platform.failure_taxonomy", end,
-                seed, "counters",
-                "taxonomy=" + std::to_string(taxonomy) +
-                    " failed=" + std::to_string(result.failed_attempts));
-  auditor.Check(result.queue_timeout_attempts <= result.timeout_attempts,
-                "platform.failure_taxonomy", end, seed, "counters",
-                "queue_timeouts=" + std::to_string(result.queue_timeout_attempts) +
-                    " exceed timeouts=" + std::to_string(result.timeout_attempts));
+  auditor.CheckLazy(taxonomy == result.failed_attempts, "platform.failure_taxonomy", end,
+                    seed, [] { return "counters"; }, [&] {
+                      return "taxonomy=" + std::to_string(taxonomy) +
+                             " failed=" + std::to_string(result.failed_attempts);
+                    });
+  auditor.CheckLazy(result.queue_timeout_attempts <= result.timeout_attempts,
+                    "platform.failure_taxonomy", end, seed, [] { return "counters"; },
+                    [&] {
+                      return "queue_timeouts=" +
+                             std::to_string(result.queue_timeout_attempts) +
+                             " exceed timeouts=" + std::to_string(result.timeout_attempts);
+                    });
 
   // Attempt conservation: every attempt beyond the first per request is a
   // retry.
   const int64_t extra = static_cast<int64_t>(result.attempts.size()) -
                         static_cast<int64_t>(result.requests.size());
-  auditor.Check(extra == result.retries, "platform.attempt_conservation", end, seed,
-                "attempts",
-                "attempts=" + std::to_string(result.attempts.size()) +
-                    " requests=" + std::to_string(result.requests.size()) +
-                    " retries=" + std::to_string(result.retries));
+  auditor.CheckLazy(extra == result.retries, "platform.attempt_conservation", end, seed,
+                    [] { return "attempts"; }, [&] {
+                      return "attempts=" + std::to_string(result.attempts.size()) +
+                             " requests=" + std::to_string(result.requests.size()) +
+                             " retries=" + std::to_string(result.retries);
+                    });
 
   // Request conservation: every request reached a terminal outcome, and the
   // derived aggregates match a recount.
   int64_t ok = 0;
   for (size_t i = 0; i < result.requests.size(); ++i) {
     const RequestOutcome& r = result.requests[i];
-    auditor.Check(r.attempts >= 1, "platform.request_conservation", end, seed,
-                  "request " + std::to_string(i),
-                  "terminated with attempts=" + std::to_string(r.attempts));
-    auditor.Check(
+    const auto entity = [i] { return "request " + std::to_string(i); };
+    auditor.CheckLazy(r.attempts >= 1, "platform.request_conservation", end, seed, entity,
+                      [&] { return "terminated with attempts=" + std::to_string(r.attempts); });
+    auditor.CheckLazy(
         r.completion >= r.arrival && r.e2e_latency == r.completion - r.arrival,
-        "platform.request_conservation", end, seed, "request " + std::to_string(i),
-        "arrival=" + std::to_string(r.arrival) +
-            " completion=" + std::to_string(r.completion) +
-            " e2e=" + std::to_string(r.e2e_latency));
+        "platform.request_conservation", end, seed, entity, [&] {
+          return "arrival=" + std::to_string(r.arrival) +
+                 " completion=" + std::to_string(r.completion) +
+                 " e2e=" + std::to_string(r.e2e_latency);
+        });
     if (r.outcome == Outcome::kOk) {
       ++ok;
     }
   }
-  auditor.Check(ok == result.successes, "platform.request_conservation", end, seed,
-                "requests",
-                "recounted successes=" + std::to_string(ok) +
-                    " recorded=" + std::to_string(result.successes));
+  auditor.CheckLazy(ok == result.successes, "platform.request_conservation", end, seed,
+                    [] { return "requests"; }, [&] {
+                      return "recounted successes=" + std::to_string(ok) +
+                             " recorded=" + std::to_string(result.successes);
+                    });
   int64_t cold = 0;
   for (const AttemptOutcome& att : result.attempts) {
     if (att.cold_start) {
       ++cold;
     }
   }
-  auditor.Check(cold == result.cold_starts, "platform.request_conservation", end, seed,
-                "attempts",
-                "recounted cold starts=" + std::to_string(cold) +
-                    " recorded=" + std::to_string(result.cold_starts));
+  auditor.CheckLazy(cold == result.cold_starts, "platform.request_conservation", end,
+                    seed, [] { return "attempts"; }, [&] {
+                      return "recounted cold starts=" + std::to_string(cold) +
+                             " recorded=" + std::to_string(result.cold_starts);
+                    });
 
   // Billed-usec conservation: in the single-concurrency model a sandbox is
   // busy exactly while one attempt executes, so total sandbox busy time must
@@ -102,48 +111,54 @@ void AuditPlatformRun(const PlatformSimResult& result, const PlatformSimConfig& 
   // wall-clock is a union of overlapping windows, so it can only be smaller.
   MicroSecs busy = 0;
   for (const SandboxAccounting& s : result.sandboxes) {
-    auditor.Check(s.busy_time >= 0 && s.idle_time >= 0 && s.init_time >= 0,
-                  "platform.sandbox_time_accounting", end, seed,
-                  "sandbox " + std::to_string(s.sandbox_id),
-                  "init=" + std::to_string(s.init_time) +
-                      " busy=" + std::to_string(s.busy_time) +
-                      " idle=" + std::to_string(s.idle_time));
-    auditor.Check(
+    const auto entity = [&s] { return "sandbox " + std::to_string(s.sandbox_id); };
+    auditor.CheckLazy(s.busy_time >= 0 && s.idle_time >= 0 && s.init_time >= 0,
+                      "platform.sandbox_time_accounting", end, seed, entity, [&] {
+                        return "init=" + std::to_string(s.init_time) +
+                               " busy=" + std::to_string(s.busy_time) +
+                               " idle=" + std::to_string(s.idle_time);
+                      });
+    auditor.CheckLazy(
         s.init_time + s.busy_time + s.idle_time <= s.destroyed_at - s.created_at,
-        "platform.sandbox_time_accounting", end, seed,
-        "sandbox " + std::to_string(s.sandbox_id),
-        "accounted=" + std::to_string(s.init_time + s.busy_time + s.idle_time) +
-            " lifetime=" + std::to_string(s.destroyed_at - s.created_at));
+        "platform.sandbox_time_accounting", end, seed, entity, [&] {
+          return "accounted=" + std::to_string(s.init_time + s.busy_time + s.idle_time) +
+                 " lifetime=" + std::to_string(s.destroyed_at - s.created_at);
+        });
     busy += s.busy_time;
   }
   MicroSecs exec = 0;
   for (const AttemptOutcome& att : result.attempts) {
-    auditor.Check(att.exec_duration >= 0, "platform.billed_time_conservation", end,
-                  seed, "attempt of request " + std::to_string(att.req_idx),
-                  "exec_duration=" + std::to_string(att.exec_duration));
+    auditor.CheckLazy(
+        att.exec_duration >= 0, "platform.billed_time_conservation", end, seed,
+        [&] { return "attempt of request " + std::to_string(att.req_idx); },
+        [&] { return "exec_duration=" + std::to_string(att.exec_duration); });
     exec += att.exec_duration;
   }
   const bool multi = config.concurrency == ConcurrencyModel::kMultiConcurrency;
-  auditor.Check(multi ? busy <= exec : busy == exec,
-                "platform.billed_time_conservation", end, seed, "sandboxes",
-                "sandbox busy=" + std::to_string(busy) + " attempt exec=" +
-                    std::to_string(exec) + (multi ? " (concurrent: busy <= exec)" : ""));
+  auditor.CheckLazy(multi ? busy <= exec : busy == exec,
+                    "platform.billed_time_conservation", end, seed,
+                    [] { return "sandboxes"; }, [&] {
+                      return "sandbox busy=" + std::to_string(busy) +
+                             " attempt exec=" + std::to_string(exec) +
+                             (multi ? " (concurrent: busy <= exec)" : "");
+                    });
 
   // Monotone timeline.
   for (size_t i = 1; i < result.timeline.size(); ++i) {
-    auditor.Check(result.timeline[i].time > result.timeline[i - 1].time,
-                  "platform.monotone_timeline", end, seed,
-                  "sample " + std::to_string(i),
-                  std::to_string(result.timeline[i].time) + " after " +
-                      std::to_string(result.timeline[i - 1].time));
+    auditor.CheckLazy(result.timeline[i].time > result.timeline[i - 1].time,
+                      "platform.monotone_timeline", end, seed,
+                      [i] { return "sample " + std::to_string(i); }, [&] {
+                        return std::to_string(result.timeline[i].time) + " after " +
+                               std::to_string(result.timeline[i - 1].time);
+                      });
   }
 
   // USD reconciliation against the independent billing recomputation.
   if (billing != nullptr) {
     const Usd recomputed = RecomputePlatformTotalUsd(result, config, *billing);
-    auditor.Check(UsdClose(expected_total_usd, recomputed),
-                  "platform.usd_reconciliation", end, seed, "billing",
-                  UsdPair(expected_total_usd, recomputed));
+    auditor.CheckLazy(UsdClose(expected_total_usd, recomputed),
+                      "platform.usd_reconciliation", end, seed, [] { return "billing"; },
+                      [&] { return UsdPair(expected_total_usd, recomputed); });
   }
 }
 
@@ -159,32 +174,40 @@ void AuditFleetRun(const FleetResult& result, const FleetSimConfig& config,
   const int64_t taxonomy = result.crash_attempts + result.timeout_attempts +
                            result.init_failure_attempts + result.rejected_attempts +
                            result.queue_timeout_attempts + result.circuit_open_attempts;
-  auditor.Check(taxonomy == result.failed_attempts, "fleet.failure_taxonomy", end, seed,
-                "counters",
-                "taxonomy=" + std::to_string(taxonomy) +
-                    " failed=" + std::to_string(result.failed_attempts));
+  auditor.CheckLazy(taxonomy == result.failed_attempts, "fleet.failure_taxonomy", end,
+                    seed, [] { return "counters"; }, [&] {
+                      return "taxonomy=" + std::to_string(taxonomy) +
+                             " failed=" + std::to_string(result.failed_attempts);
+                    });
 
   // Attempt and request conservation.
-  auditor.Check(result.attempts == result.requests + result.retries,
-                "fleet.attempt_conservation", end, seed, "counters",
-                "attempts=" + std::to_string(result.attempts) +
-                    " requests=" + std::to_string(result.requests) +
-                    " retries=" + std::to_string(result.retries));
-  auditor.Check(result.successes + result.retries_exhausted == result.requests,
-                "fleet.request_conservation", end, seed, "counters",
-                "successes=" + std::to_string(result.successes) +
-                    " exhausted=" + std::to_string(result.retries_exhausted) +
-                    " requests=" + std::to_string(result.requests));
-  auditor.Check(static_cast<int64_t>(result.e2e_latency.size()) == result.requests,
-                "fleet.request_conservation", end, seed, "e2e_latency",
-                std::to_string(result.e2e_latency.size()) + " entries for " +
-                    std::to_string(result.requests) + " requests");
-  auditor.Check(result.sandboxes == static_cast<int64_t>(result.spans.size()) &&
-                    result.cold_starts == result.sandboxes,
-                "fleet.capacity_accounting", end, seed, "spans",
-                "sandboxes=" + std::to_string(result.sandboxes) +
-                    " spans=" + std::to_string(result.spans.size()) +
-                    " cold_starts=" + std::to_string(result.cold_starts));
+  auditor.CheckLazy(result.attempts == result.requests + result.retries,
+                    "fleet.attempt_conservation", end, seed, [] { return "counters"; },
+                    [&] {
+                      return "attempts=" + std::to_string(result.attempts) +
+                             " requests=" + std::to_string(result.requests) +
+                             " retries=" + std::to_string(result.retries);
+                    });
+  auditor.CheckLazy(result.successes + result.retries_exhausted == result.requests,
+                    "fleet.request_conservation", end, seed, [] { return "counters"; },
+                    [&] {
+                      return "successes=" + std::to_string(result.successes) +
+                             " exhausted=" + std::to_string(result.retries_exhausted) +
+                             " requests=" + std::to_string(result.requests);
+                    });
+  auditor.CheckLazy(static_cast<int64_t>(result.e2e_latency.size()) == result.requests,
+                    "fleet.request_conservation", end, seed,
+                    [] { return "e2e_latency"; }, [&] {
+                      return std::to_string(result.e2e_latency.size()) + " entries for " +
+                             std::to_string(result.requests) + " requests";
+                    });
+  auditor.CheckLazy(result.sandboxes == static_cast<int64_t>(result.spans.size()) &&
+                        result.cold_starts == result.sandboxes,
+                    "fleet.capacity_accounting", end, seed, [] { return "spans"; }, [&] {
+                      return "sandboxes=" + std::to_string(result.sandboxes) +
+                             " spans=" + std::to_string(result.spans.size()) +
+                             " cold_starts=" + std::to_string(result.cold_starts);
+                    });
 
   // Per-span time accounting: a sandbox's lifetime is exactly its busy time
   // (init + execution) plus its idle (keep-alive) time.
@@ -192,15 +215,19 @@ void AuditFleetRun(const FleetResult& result, const FleetSimConfig& config,
   Usd hardware = 0.0;
   for (size_t i = 0; i < result.spans.size(); ++i) {
     const SandboxSpan& span = result.spans[i];
-    auditor.Check(
+    const auto entity = [i] { return "span " + std::to_string(i); };
+    auditor.CheckLazy(
         span.busy >= 0 && span.idle >= 0 && span.destroyed_at >= span.created_at,
-        "fleet.span_time_accounting", end, seed, "span " + std::to_string(i),
-        "busy=" + std::to_string(span.busy) + " idle=" + std::to_string(span.idle) +
-            " lifetime=" + std::to_string(span.destroyed_at - span.created_at));
-    auditor.Check(span.busy + span.idle == span.destroyed_at - span.created_at,
-                  "fleet.span_time_accounting", end, seed, "span " + std::to_string(i),
-                  "busy+idle=" + std::to_string(span.busy + span.idle) + " lifetime=" +
-                      std::to_string(span.destroyed_at - span.created_at));
+        "fleet.span_time_accounting", end, seed, entity, [&] {
+          return "busy=" + std::to_string(span.busy) + " idle=" + std::to_string(span.idle) +
+                 " lifetime=" + std::to_string(span.destroyed_at - span.created_at);
+        });
+    auditor.CheckLazy(span.busy + span.idle == span.destroyed_at - span.created_at,
+                      "fleet.span_time_accounting", end, seed, entity, [&] {
+                        return "busy+idle=" + std::to_string(span.busy + span.idle) +
+                               " lifetime=" +
+                               std::to_string(span.destroyed_at - span.created_at);
+                      });
     sandbox_seconds += MicrosToSecs(span.destroyed_at - span.created_at);
     busy_seconds += MicrosToSecs(span.busy);
     idle_seconds += MicrosToSecs(span.idle);
@@ -212,49 +239,29 @@ void AuditFleetRun(const FleetResult& result, const FleetSimConfig& config,
 
   // USD reconciliation: the aggregate cost figures must match an independent
   // recomputation from the per-span records they claim to summarize.
-  auditor.Check(UsdClose(result.hardware_cost, hardware), "fleet.usd_reconciliation",
-                end, seed, "hardware_cost", UsdPair(result.hardware_cost, hardware));
-  auditor.Check(UsdClose(result.sandbox_seconds, sandbox_seconds) &&
-                    UsdClose(result.busy_seconds, busy_seconds) &&
-                    UsdClose(result.idle_seconds, idle_seconds),
-                "fleet.usd_reconciliation", end, seed, "span aggregates",
-                "sandbox_s " + UsdPair(result.sandbox_seconds, sandbox_seconds) +
-                    "; busy_s " + UsdPair(result.busy_seconds, busy_seconds) +
-                    "; idle_s " + UsdPair(result.idle_seconds, idle_seconds));
-  auditor.Check(result.fee_revenue <= result.revenue + 1e-9, "fleet.usd_conservation",
-                end, seed, "revenue",
-                "fees=" + std::to_string(result.fee_revenue) +
-                    " total=" + std::to_string(result.revenue));
+  auditor.CheckLazy(UsdClose(result.hardware_cost, hardware), "fleet.usd_reconciliation",
+                    end, seed, [] { return "hardware_cost"; },
+                    [&] { return UsdPair(result.hardware_cost, hardware); });
+  auditor.CheckLazy(UsdClose(result.sandbox_seconds, sandbox_seconds) &&
+                        UsdClose(result.busy_seconds, busy_seconds) &&
+                        UsdClose(result.idle_seconds, idle_seconds),
+                    "fleet.usd_reconciliation", end, seed,
+                    [] { return "span aggregates"; }, [&] {
+                      return "sandbox_s " + UsdPair(result.sandbox_seconds, sandbox_seconds) +
+                             "; busy_s " + UsdPair(result.busy_seconds, busy_seconds) +
+                             "; idle_s " + UsdPair(result.idle_seconds, idle_seconds);
+                    });
+  auditor.CheckLazy(result.fee_revenue <= result.revenue + 1e-9, "fleet.usd_conservation",
+                    end, seed, [] { return "revenue"; }, [&] {
+                      return "fees=" + std::to_string(result.fee_revenue) +
+                             " total=" + std::to_string(result.revenue);
+                    });
   if (result.revenue > 0.0) {
     const double margin = (result.revenue - result.hardware_cost) / result.revenue;
-    auditor.Check(UsdClose(result.margin, margin), "fleet.usd_reconciliation", end,
-                  seed, "margin", UsdPair(result.margin, margin));
+    auditor.CheckLazy(UsdClose(result.margin, margin), "fleet.usd_reconciliation", end,
+                      seed, [] { return "margin"; },
+                      [&] { return UsdPair(result.margin, margin); });
   }
-}
-
-Usd RecomputeWorkflowTotalUsd(const WorkflowSimResult& result,
-                              const WorkflowSimConfig& config,
-                              const BillingModel& billing) {
-  Usd total = 0.0;
-  for (const HopAttempt& att : result.attempts) {
-    if (!att.platform_dispatched) {
-      continue;
-    }
-    const HopSpec& spec =
-        config.dags[static_cast<size_t>(att.dag)].hops[static_cast<size_t>(att.hop)];
-    total += ComputeInvoice(billing, BillableRecord(att.attempt, spec.vcpus, spec.mem_mb))
-                 .total;
-  }
-  total += config.pricing.per_state_transition *
-           static_cast<double>(result.counters.dispatched_attempts);
-  total += (config.pricing.dlq_write_fee + config.pricing.dlq_read_fee) *
-           static_cast<double>(result.counters.dead_letters);
-  // Network charges walk a stateful tiered meter and cannot be re-derived
-  // from attempts alone; the line item is carried over and cross-checked
-  // against the per-workflow rows (and, bitwise, against kTransfer spans via
-  // ReconcileTransferUsd) in AuditWorkflowRun.
-  total += result.usd_network;
-  return total;
 }
 
 void AuditWorkflowRun(const WorkflowSimResult& result, const WorkflowSimConfig& config,
@@ -263,28 +270,38 @@ void AuditWorkflowRun(const WorkflowSimResult& result, const WorkflowSimConfig& 
 
   // Per-attempt invariants: unbilled-by-construction rows carry exactly $0,
   // billed rows match an independent re-pricing, and timelines are monotone.
+  // The same pass gathers the sums the later checks need, so each dispatched
+  // attempt is priced once.
   int64_t dispatched = 0, circuit_open = 0, upstream = 0, fail_fast = 0, dead = 0,
           hedge_losers = 0, cold = 0;
+  Usd attempts_usd = 0.0;
+  Usd recomputed = 0.0;  // Independent run total; fees are added below.
+  std::vector<Usd> wf_usd(result.workflows.size(), 0.0);
+  std::vector<int64_t> wf_transitions(result.workflows.size(), 0);
+  std::vector<int64_t> wf_dead(result.workflows.size(), 0);
   for (size_t i = 0; i < result.attempts.size(); ++i) {
     const HopAttempt& att = result.attempts[i];
-    const std::string entity = "attempt " + std::to_string(i);
+    const auto entity = [i] { return "attempt " + std::to_string(i); };
     const Outcome oc = att.attempt.outcome;
-    auditor.Check(att.attempt.end >= att.attempt.dispatched &&
-                      att.attempt.exec_duration >= 0 && att.attempt.init_duration >= 0,
-                  "workflow.monotone_attempt_time", end, seed, entity,
-                  "dispatched=" + std::to_string(att.attempt.dispatched) +
-                      " end=" + std::to_string(att.attempt.end));
+    auditor.CheckLazy(att.attempt.end >= att.attempt.dispatched &&
+                          att.attempt.exec_duration >= 0 && att.attempt.init_duration >= 0,
+                      "workflow.monotone_attempt_time", end, seed, entity, [&] {
+                        return "dispatched=" + std::to_string(att.attempt.dispatched) +
+                               " end=" + std::to_string(att.attempt.end);
+                      });
     const bool never_billed =
         oc == Outcome::kCircuitOpen || oc == Outcome::kUpstreamFailed || att.fail_fast;
-    auditor.Check(never_billed == !att.platform_dispatched, "workflow.never_billed",
-                  end, seed, entity,
-                  std::string("outcome=") + OutcomeName(oc) +
-                      " fail_fast=" + std::to_string(att.fail_fast) +
-                      " dispatched=" + std::to_string(att.platform_dispatched));
+    auditor.CheckLazy(never_billed == !att.platform_dispatched, "workflow.never_billed",
+                      end, seed, entity, [&] {
+                        return std::string("outcome=") + OutcomeName(oc) +
+                               " fail_fast=" + std::to_string(att.fail_fast) +
+                               " dispatched=" + std::to_string(att.platform_dispatched);
+                      });
     if (!att.platform_dispatched) {
-      auditor.Check(!(std::fabs(att.usd) > 0.0) && att.attempt.exec_duration == 0,
-                    "workflow.never_billed", end, seed, entity,
-                    "undispatched row carries usd=" + std::to_string(att.usd));
+      auditor.CheckLazy(!(std::fabs(att.usd) > 0.0) && att.attempt.exec_duration == 0,
+                        "workflow.never_billed", end, seed, entity, [&] {
+                          return "undispatched row carries usd=" + std::to_string(att.usd);
+                        });
     } else {
       ++dispatched;
       const HopSpec& spec =
@@ -292,8 +309,9 @@ void AuditWorkflowRun(const WorkflowSimResult& result, const WorkflowSimConfig& 
       const Usd want =
           ComputeInvoice(billing, BillableRecord(att.attempt, spec.vcpus, spec.mem_mb))
               .total;
-      auditor.Check(UsdClose(att.usd, want), "workflow.usd_reconciliation", end, seed,
-                    entity, UsdPair(att.usd, want));
+      auditor.CheckLazy(UsdClose(att.usd, want), "workflow.usd_reconciliation", end, seed,
+                        entity, [&] { return UsdPair(att.usd, want); });
+      recomputed += want;
     }
     if (oc == Outcome::kCircuitOpen) ++circuit_open;
     if (oc == Outcome::kUpstreamFailed) ++upstream;
@@ -301,49 +319,49 @@ void AuditWorkflowRun(const WorkflowSimResult& result, const WorkflowSimConfig& 
     if (oc == Outcome::kHedgeLoser) ++hedge_losers;
     if (att.fail_fast) ++fail_fast;
     if (att.attempt.cold_start) ++cold;
+    attempts_usd += att.usd;
+    const size_t w = static_cast<size_t>(att.wf);
+    wf_usd[w] += att.usd;
+    if (att.platform_dispatched) ++wf_transitions[w];
+    if (oc == Outcome::kDeadLettered) ++wf_dead[w];
   }
-  auditor.Check(dispatched == result.counters.dispatched_attempts &&
-                    circuit_open == result.counters.circuit_open &&
-                    upstream == result.counters.upstream_skipped &&
-                    fail_fast == result.counters.fail_fast &&
-                    dead == result.counters.dead_letters &&
-                    hedge_losers == result.counters.hedge_losers &&
-                    cold == result.counters.cold_starts,
-                "workflow.attempt_conservation", end, seed, "counters",
-                "recounted dispatched=" + std::to_string(dispatched) +
-                    " circuit_open=" + std::to_string(circuit_open) +
-                    " upstream=" + std::to_string(upstream) +
-                    " fail_fast=" + std::to_string(fail_fast) +
-                    " dead=" + std::to_string(dead) +
-                    " hedge_losers=" + std::to_string(hedge_losers) +
-                    " cold=" + std::to_string(cold));
+  auditor.CheckLazy(dispatched == result.counters.dispatched_attempts &&
+                        circuit_open == result.counters.circuit_open &&
+                        upstream == result.counters.upstream_skipped &&
+                        fail_fast == result.counters.fail_fast &&
+                        dead == result.counters.dead_letters &&
+                        hedge_losers == result.counters.hedge_losers &&
+                        cold == result.counters.cold_starts,
+                    "workflow.attempt_conservation", end, seed, [] { return "counters"; },
+                    [&] {
+                      return "recounted dispatched=" + std::to_string(dispatched) +
+                             " circuit_open=" + std::to_string(circuit_open) +
+                             " upstream=" + std::to_string(upstream) +
+                             " fail_fast=" + std::to_string(fail_fast) +
+                             " dead=" + std::to_string(dead) +
+                             " hedge_losers=" + std::to_string(hedge_losers) +
+                             " cold=" + std::to_string(cold);
+                    });
 
   // Workflow-outcome partition and per-workflow USD conservation: every
   // instance terminated, and its USD is exactly the sum of its attempts'
   // invoices plus its transition and DLQ fee shares.
   int64_t ok = 0, failed = 0, degraded = 0;
-  std::vector<Usd> wf_usd(result.workflows.size(), 0.0);
-  std::vector<int64_t> wf_transitions(result.workflows.size(), 0);
-  std::vector<int64_t> wf_dead(result.workflows.size(), 0);
-  for (const HopAttempt& att : result.attempts) {
-    const size_t w = static_cast<size_t>(att.wf);
-    wf_usd[w] += att.usd;
-    if (att.platform_dispatched) ++wf_transitions[w];
-    if (att.attempt.outcome == Outcome::kDeadLettered) ++wf_dead[w];
-  }
   const Usd fee_dlq = config.pricing.dlq_write_fee + config.pricing.dlq_read_fee;
   for (size_t i = 0; i < result.workflows.size(); ++i) {
     const WorkflowRow& row = result.workflows[i];
-    auditor.Check(row.end >= row.arrival, "workflow.monotone_attempt_time", end, seed,
-                  "wf " + std::to_string(i),
-                  "arrival=" + std::to_string(row.arrival) +
-                      " end=" + std::to_string(row.end));
+    const auto entity = [i] { return "wf " + std::to_string(i); };
+    auditor.CheckLazy(row.end >= row.arrival, "workflow.monotone_attempt_time", end, seed,
+                      entity, [&] {
+                        return "arrival=" + std::to_string(row.arrival) +
+                               " end=" + std::to_string(row.end);
+                      });
     const Usd want = wf_usd[i] +
                      config.pricing.per_state_transition *
                          static_cast<double>(wf_transitions[i]) +
                      fee_dlq * static_cast<double>(wf_dead[i]) + row.usd_network;
-    auditor.Check(UsdClose(row.usd, want), "workflow.usd_conservation", end, seed,
-                  "wf " + std::to_string(i), UsdPair(row.usd, want));
+    auditor.CheckLazy(UsdClose(row.usd, want), "workflow.usd_conservation", end, seed,
+                      entity, [&] { return UsdPair(row.usd, want); });
     if (row.outcome == Outcome::kOk) {
       ++ok;
       if (row.degraded) ++degraded;
@@ -351,49 +369,58 @@ void AuditWorkflowRun(const WorkflowSimResult& result, const WorkflowSimConfig& 
       ++failed;
     }
   }
-  auditor.Check(ok == result.counters.workflows_succeeded &&
-                    failed == result.counters.workflows_failed &&
-                    degraded == result.counters.degraded_successes &&
-                    ok + failed == result.counters.workflows_started,
-                "workflow.outcome_partition", end, seed, "counters",
-                "recounted ok=" + std::to_string(ok) + " failed=" +
-                    std::to_string(failed) + " degraded=" + std::to_string(degraded) +
-                    " started=" + std::to_string(result.counters.workflows_started));
+  auditor.CheckLazy(ok == result.counters.workflows_succeeded &&
+                        failed == result.counters.workflows_failed &&
+                        degraded == result.counters.degraded_successes &&
+                        ok + failed == result.counters.workflows_started,
+                    "workflow.outcome_partition", end, seed, [] { return "counters"; },
+                    [&] {
+                      return "recounted ok=" + std::to_string(ok) +
+                             " failed=" + std::to_string(failed) +
+                             " degraded=" + std::to_string(degraded) + " started=" +
+                             std::to_string(result.counters.workflows_started);
+                    });
 
   // Run-level USD conservation: the decomposition adds up, the workflow rows
   // add up to the run total, and the total matches an independent billing
   // recomputation (hedge losers and dead letters included).
-  Usd attempts_usd = 0.0;
-  for (const HopAttempt& att : result.attempts) {
-    attempts_usd += att.usd;
-  }
-  auditor.Check(UsdClose(attempts_usd, result.usd_attempts),
-                "workflow.usd_conservation", end, seed, "usd_attempts",
-                UsdPair(result.usd_attempts, attempts_usd));
-  auditor.Check(UsdClose(result.usd_total, result.usd_attempts + result.usd_transitions +
-                                               result.usd_dlq + result.usd_network),
-                "workflow.usd_conservation", end, seed, "usd_total",
-                UsdPair(result.usd_total, result.usd_attempts + result.usd_transitions +
-                                              result.usd_dlq + result.usd_network));
-  Usd rows_network = 0.0;
+  auditor.CheckLazy(UsdClose(attempts_usd, result.usd_attempts),
+                    "workflow.usd_conservation", end, seed, [] { return "usd_attempts"; },
+                    [&] { return UsdPair(result.usd_attempts, attempts_usd); });
+  const Usd parts =
+      result.usd_attempts + result.usd_transitions + result.usd_dlq + result.usd_network;
+  auditor.CheckLazy(UsdClose(result.usd_total, parts), "workflow.usd_conservation", end,
+                    seed, [] { return "usd_total"; },
+                    [&] { return UsdPair(result.usd_total, parts); });
+  Usd rows_network = 0.0, rows_usd = 0.0;
   for (const WorkflowRow& row : result.workflows) {
     rows_network += row.usd_network;
-  }
-  auditor.Check(UsdClose(rows_network, result.usd_network),
-                "workflow.usd_conservation", end, seed, "usd_network",
-                UsdPair(rows_network, result.usd_network));
-  Usd rows_usd = 0.0;
-  for (const WorkflowRow& row : result.workflows) {
     rows_usd += row.usd;
   }
-  auditor.Check(UsdClose(rows_usd, result.usd_total), "workflow.usd_conservation", end,
-                seed, "workflow rows", UsdPair(rows_usd, result.usd_total));
-  auditor.Check(UsdClose(result.usd_useful + result.usd_wasted, result.usd_total),
-                "workflow.usd_conservation", end, seed, "waste decomposition",
-                UsdPair(result.usd_useful + result.usd_wasted, result.usd_total));
-  const Usd recomputed = RecomputeWorkflowTotalUsd(result, config, billing);
-  auditor.Check(UsdClose(result.usd_total, recomputed), "workflow.usd_reconciliation",
-                end, seed, "billing", UsdPair(result.usd_total, recomputed));
+  auditor.CheckLazy(UsdClose(rows_network, result.usd_network),
+                    "workflow.usd_conservation", end, seed, [] { return "usd_network"; },
+                    [&] { return UsdPair(rows_network, result.usd_network); });
+  auditor.CheckLazy(UsdClose(rows_usd, result.usd_total), "workflow.usd_conservation",
+                    end, seed, [] { return "workflow rows"; },
+                    [&] { return UsdPair(rows_usd, result.usd_total); });
+  auditor.CheckLazy(UsdClose(result.usd_useful + result.usd_wasted, result.usd_total),
+                    "workflow.usd_conservation", end, seed,
+                    [] { return "waste decomposition"; }, [&] {
+                      return UsdPair(result.usd_useful + result.usd_wasted,
+                                     result.usd_total);
+                    });
+  // The independent total: the attempt invoices summed above, then the
+  // transition and DLQ fees from the counters. Network charges walk a
+  // stateful tiered meter and cannot be re-derived from attempts alone; the
+  // line item is carried over and cross-checked against the per-workflow rows
+  // above (and, bitwise, against kTransfer spans via ReconcileTransferUsd).
+  recomputed += config.pricing.per_state_transition *
+                static_cast<double>(result.counters.dispatched_attempts);
+  recomputed += fee_dlq * static_cast<double>(result.counters.dead_letters);
+  recomputed += result.usd_network;
+  auditor.CheckLazy(UsdClose(result.usd_total, recomputed), "workflow.usd_reconciliation",
+                    end, seed, [] { return "billing"; },
+                    [&] { return UsdPair(result.usd_total, recomputed); });
 }
 
 }  // namespace faascost

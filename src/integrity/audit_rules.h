@@ -48,20 +48,15 @@ void AuditPlatformRun(const PlatformSimResult& result, const PlatformSimConfig& 
 void AuditFleetRun(const FleetResult& result, const FleetSimConfig& config,
                    Auditor& auditor);
 
-// Independent USD recomputation for a workflow run: every platform-dispatched
-// attempt re-priced through BillableRecord + ComputeInvoice at its hop's
-// allocation, plus transition and DLQ fees from the counters. This is the
-// reference total AuditWorkflowRun reconciles against.
-Usd RecomputeWorkflowTotalUsd(const WorkflowSimResult& result,
-                              const WorkflowSimConfig& config,
-                              const BillingModel& billing);
-
 // Audits a finished workflow run: USD conservation (workflow USD == sum of
 // hop-attempt USD including hedge losers and dead letters, == independent
 // billing recomputation), never-billed invariants (kCircuitOpen /
 // kUpstreamFailed / fail-fast rows carry exactly $0), workflow-outcome
 // partition, attempt-counter conservation, and monotone per-attempt times.
-// Throws IntegrityViolation on the first failure.
+// The recomputation prices every platform-dispatched attempt once, through
+// BillableRecord + ComputeInvoice at its hop's allocation, and adds the
+// transition and DLQ fees from the counters. Throws IntegrityViolation on
+// the first failure.
 void AuditWorkflowRun(const WorkflowSimResult& result, const WorkflowSimConfig& config,
                       uint64_t seed, Auditor& auditor, const BillingModel& billing);
 

@@ -60,15 +60,6 @@ IntegrityViolation::IntegrityViolation(std::string invariant, MicroSecs sim_time
 Auditor::Auditor(AuditLevel level, int64_t scan_cadence_events)
     : level_(level), scan_cadence_(scan_cadence_events) {}
 
-void Auditor::Check(bool ok, std::string_view invariant, MicroSecs sim_time,
-                    uint64_t seed, std::string_view entity,
-                    std::string_view detail) {
-  ++checks_run_;
-  if (!ok) {
-    Fail(invariant, sim_time, seed, entity, detail);
-  }
-}
-
 void Auditor::Fail(std::string_view invariant, MicroSecs sim_time, uint64_t seed,
                    std::string_view entity, std::string_view detail) {
   throw IntegrityViolation(std::string(invariant), sim_time, seed,

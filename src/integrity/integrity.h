@@ -77,14 +77,11 @@ class Auditor {
   }
 
   // Records one invariant evaluation; throws IntegrityViolation when !ok.
-  void Check(bool ok, std::string_view invariant, MicroSecs sim_time,
-             uint64_t seed, std::string_view entity, std::string_view detail);
-
-  // Hot-path variant: `detail` and `entity` are nullary callables invoked
-  // only on failure, so a passing check costs one branch and a counter
-  // increment — no string formatting or allocation. In-run checks that
-  // execute per event or per scanned entity must use this form to stay
-  // inside the <10% audited-run overhead budget (see tools/ci.sh).
+  // `entity` and `detail` are nullary callables (returning anything that
+  // converts to std::string_view) invoked only on failure, so a passing
+  // check costs one branch and a counter increment — no string formatting or
+  // allocation. This is the only check form: in-run hooks run it per event
+  // or per scanned entity, end-of-run rules per attempt, span and workflow.
   template <typename EntityFn, typename DetailFn>
   void CheckLazy(bool ok, std::string_view invariant, MicroSecs sim_time,
                  uint64_t seed, EntityFn&& entity, DetailFn&& detail) {

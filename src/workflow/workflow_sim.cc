@@ -1097,7 +1097,9 @@ WorkflowSimResult Engine::Run() {
       res_.counters.breaker_trips += fs.breaker.trips();
     }
   }
-  return res_;
+  // The engine is spent after Run; moving hands over the attempt rows
+  // without copying them.
+  return std::move(res_);
 }
 
 }  // namespace

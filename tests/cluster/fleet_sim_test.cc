@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/billing/catalog.h"
 #include "src/trace/generator.h"
 
@@ -12,6 +15,24 @@ namespace {
 
 constexpr MicroSecs kSec = kMicrosPerSec;
 constexpr MicroSecs kMs = kMicrosPerMilli;
+
+// FleetEngine keeps a pointer to the trace it runs, so Start and Resume take
+// a trace that outlives the engine; a temporary one must not compile.
+template <typename Trace>
+concept StartsFrom = requires(FleetEngine& e, Trace&& trace, const BillingModel& b) {
+  e.Start(std::forward<Trace>(trace), b);
+};
+template <typename Trace>
+concept ResumesFrom =
+    requires(FleetEngine& e, Trace&& trace, const BillingModel& b, const JsonValue& s) {
+      e.Resume(std::forward<Trace>(trace), b, s);
+    };
+static_assert(StartsFrom<const std::vector<RequestRecord>&>);
+static_assert(StartsFrom<std::vector<RequestRecord>&>);
+static_assert(!StartsFrom<std::vector<RequestRecord>>);
+static_assert(!StartsFrom<const std::vector<RequestRecord>>);
+static_assert(ResumesFrom<const std::vector<RequestRecord>&>);
+static_assert(!ResumesFrom<std::vector<RequestRecord>>);
 
 RequestRecord Req(int64_t fn, MicroSecs arrival, int64_t exec_ms = 100) {
   RequestRecord r;

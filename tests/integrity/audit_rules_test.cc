@@ -41,15 +41,29 @@ PlatformSimResult RunPlatform() {
   return sim.Run(UniformArrivals(20.0, 30 * kSec), PyAesWorkload());
 }
 
-// Expects `audit` to throw IntegrityViolation for exactly `invariant`.
+// Expects `audit` to throw IntegrityViolation for exactly `invariant`, naming
+// `entity` and carrying `detail_part` in its detail string: the failure
+// message, not just the invariant name, must survive lazy formatting.
 template <typename Fn>
-void ExpectViolation(const std::string& invariant, Fn&& audit) {
+void ExpectViolation(const std::string& invariant, const std::string& entity,
+                     const std::string& detail_part, Fn&& audit) {
   try {
     audit();
     FAIL() << "expected IntegrityViolation " << invariant << ", none thrown";
   } catch (const IntegrityViolation& e) {
     EXPECT_EQ(e.invariant(), invariant) << e.what();
+    EXPECT_EQ(e.entity(), entity) << e.what();
+    EXPECT_NE(e.detail().find(detail_part), std::string::npos) << e.what();
   }
+}
+
+Usd PlatformTotalUsd(const PlatformSimResult& res, const PlatformSimConfig& cfg,
+                     const BillingModel& billing) {
+  Usd total = 0.0;
+  for (const auto& att : res.attempts) {
+    total += ComputeInvoice(billing, BillableRecord(att, cfg.vcpus, cfg.mem_mb)).total;
+  }
+  return total;
 }
 
 TEST(PlatformAuditRules, CleanRunPasses) {
@@ -63,19 +77,33 @@ TEST(PlatformAuditRules, CleanRunReconcilesUsd) {
   const PlatformSimConfig cfg = ChaosPlatformConfig();
   const PlatformSimResult res = RunPlatform();
   const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
-  Usd total = 0.0;
-  for (const auto& att : res.attempts) {
-    total += ComputeInvoice(billing, BillableRecord(att, cfg.vcpus, cfg.mem_mb)).total;
-  }
   Auditor auditor(AuditLevel::kFull);
-  AuditPlatformRun(res, cfg, kSeed, auditor, &billing, total);
+  AuditPlatformRun(res, cfg, kSeed, auditor, &billing,
+                   PlatformTotalUsd(res, cfg, billing));
+}
+
+// Golden count of end-of-run checks on the fixed-seed run, recorded before
+// the audit rules were made lazy: any change that drops (or adds) a check
+// moves it. Two per request, two per sandbox, one per attempt and timeline
+// step, seven run-level (the USD reconciliation included).
+TEST(PlatformAuditRules, ChecksRunGolden) {
+  const PlatformSimConfig cfg = ChaosPlatformConfig();
+  const PlatformSimResult res = RunPlatform();
+  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
+  Auditor auditor(AuditLevel::kFull);
+  AuditPlatformRun(res, cfg, kSeed, auditor, &billing,
+                   PlatformTotalUsd(res, cfg, billing));
+  EXPECT_EQ(auditor.checks_run(), 1943);
+  EXPECT_EQ(auditor.checks_run(),
+            static_cast<int64_t>(2 * res.requests.size() + 2 * res.sandboxes.size() +
+                                 res.attempts.size() + res.timeline.size() - 1 + 7));
 }
 
 TEST(PlatformAuditRules, FailureTaxonomyFires) {
   PlatformSimResult res = RunPlatform();
   res.failed_attempts += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.failure_taxonomy", [&] {
+  ExpectViolation("platform.failure_taxonomy", "counters", "taxonomy=", [&] {
     AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
   });
 }
@@ -84,7 +112,8 @@ TEST(PlatformAuditRules, AttemptConservationFires) {
   PlatformSimResult res = RunPlatform();
   res.retries += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.attempt_conservation", [&] {
+  ExpectViolation("platform.attempt_conservation", "attempts",
+                  "retries=" + std::to_string(res.retries), [&] {
     AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
   });
 }
@@ -94,14 +123,16 @@ TEST(PlatformAuditRules, RequestConservationFires) {
   ASSERT_FALSE(res.requests.empty());
   res.requests[0].e2e_latency += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.request_conservation", [&] {
+  ExpectViolation("platform.request_conservation", "request 0",
+                  "e2e=" + std::to_string(res.requests[0].e2e_latency), [&] {
     AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
   });
 
   PlatformSimResult res2 = RunPlatform();
   res2.successes -= 1;
   Auditor auditor2(AuditLevel::kFull);
-  ExpectViolation("platform.request_conservation", [&] {
+  ExpectViolation("platform.request_conservation", "requests", "recounted successes=",
+                  [&] {
     AuditPlatformRun(res2, ChaosPlatformConfig(), kSeed, auditor2);
   });
 }
@@ -111,7 +142,8 @@ TEST(PlatformAuditRules, SandboxTimeAccountingFires) {
   ASSERT_FALSE(res.sandboxes.empty());
   res.sandboxes[0].idle_time = -1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.sandbox_time_accounting", [&] {
+  ExpectViolation("platform.sandbox_time_accounting",
+                  "sandbox " + std::to_string(res.sandboxes[0].sandbox_id), "idle=-1", [&] {
     AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
   });
 }
@@ -123,7 +155,7 @@ TEST(PlatformAuditRules, BilledTimeConservationFires) {
   // matches the sum of attempt execution durations.
   res.attempts[0].exec_duration -= 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.billed_time_conservation", [&] {
+  ExpectViolation("platform.billed_time_conservation", "sandboxes", "sandbox busy=", [&] {
     AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
   });
 }
@@ -133,7 +165,8 @@ TEST(PlatformAuditRules, MonotoneTimelineFires) {
   ASSERT_GE(res.timeline.size(), 2u);
   res.timeline[1].time = res.timeline[0].time;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.monotone_timeline", [&] {
+  ExpectViolation("platform.monotone_timeline", "sample 1",
+                  std::to_string(res.timeline[1].time) + " after ", [&] {
     AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
   });
 }
@@ -142,12 +175,9 @@ TEST(PlatformAuditRules, UsdReconciliationFires) {
   const PlatformSimConfig cfg = ChaosPlatformConfig();
   const PlatformSimResult res = RunPlatform();
   const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
-  Usd total = 0.0;
-  for (const auto& att : res.attempts) {
-    total += ComputeInvoice(billing, BillableRecord(att, cfg.vcpus, cfg.mem_mb)).total;
-  }
+  const Usd total = PlatformTotalUsd(res, cfg, billing);
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.usd_reconciliation", [&] {
+  ExpectViolation("platform.usd_reconciliation", "billing", "got=", [&] {
     AuditPlatformRun(res, cfg, kSeed, auditor, &billing, total + 1e-3);
   });
 }
@@ -181,11 +211,23 @@ TEST(FleetAuditRules, CleanRunPasses) {
   EXPECT_GT(auditor.checks_run(), 0);
 }
 
+// Golden count of end-of-run checks on the fixed-seed fleet run, recorded
+// before the audit rules were made lazy. Two per span, nine run-level (the
+// margin check included: the run has revenue).
+TEST(FleetAuditRules, ChecksRunGolden) {
+  const FleetResult res = RunFleet();
+  ASSERT_GT(res.revenue, 0.0);
+  Auditor auditor(AuditLevel::kFull);
+  AuditFleetRun(res, ChaosFleetConfig(), auditor);
+  EXPECT_EQ(auditor.checks_run(), 477);
+  EXPECT_EQ(auditor.checks_run(), static_cast<int64_t>(2 * res.spans.size() + 9));
+}
+
 TEST(FleetAuditRules, FailureTaxonomyFires) {
   FleetResult res = RunFleet();
   res.crash_attempts += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.failure_taxonomy",
+  ExpectViolation("fleet.failure_taxonomy", "counters", "taxonomy=",
                   [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
 }
 
@@ -193,7 +235,8 @@ TEST(FleetAuditRules, AttemptConservationFires) {
   FleetResult res = RunFleet();
   res.attempts += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.attempt_conservation",
+  ExpectViolation("fleet.attempt_conservation", "counters",
+                  "attempts=" + std::to_string(res.attempts),
                   [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
 }
 
@@ -203,7 +246,10 @@ TEST(FleetAuditRules, RequestConservationFires) {
   res.retries_exhausted -= 1;
   res.e2e_latency.pop_back();  // Also break the latency-record count.
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.request_conservation",
+  // The moved outcome keeps the successes+exhausted sum, so the short
+  // latency record is what fires.
+  ExpectViolation("fleet.request_conservation", "e2e_latency",
+                  std::to_string(res.e2e_latency.size()) + " entries for ",
                   [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
 }
 
@@ -211,7 +257,8 @@ TEST(FleetAuditRules, CapacityAccountingFires) {
   FleetResult res = RunFleet();
   res.cold_starts += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.capacity_accounting",
+  ExpectViolation("fleet.capacity_accounting", "spans",
+                  "cold_starts=" + std::to_string(res.cold_starts),
                   [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
 }
 
@@ -220,7 +267,7 @@ TEST(FleetAuditRules, SpanTimeAccountingFires) {
   ASSERT_FALSE(res.spans.empty());
   res.spans[0].idle += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.span_time_accounting",
+  ExpectViolation("fleet.span_time_accounting", "span 0", "busy+idle=",
                   [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
 }
 
@@ -228,7 +275,7 @@ TEST(FleetAuditRules, UsdReconciliationFires) {
   FleetResult res = RunFleet();
   res.hardware_cost *= 1.01;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.usd_reconciliation",
+  ExpectViolation("fleet.usd_reconciliation", "hardware_cost", "got=",
                   [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
 }
 
@@ -236,7 +283,7 @@ TEST(FleetAuditRules, UsdConservationFires) {
   FleetResult res = RunFleet();
   res.fee_revenue = res.revenue + 1.0;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.usd_conservation",
+  ExpectViolation("fleet.usd_conservation", "revenue", "fees=",
                   [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
 }
 

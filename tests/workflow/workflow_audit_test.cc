@@ -1,10 +1,12 @@
 // Workflow USD-conservation audit: clean runs (including a ≥20-seed chaos
 // sweep) pass at full level, and corrupting any single field of the public
 // result fires the matching invariant. Follows the audit_rules_test idiom:
-// one corruption per test, exact invariant name asserted.
+// one corruption per test, exact invariant name, entity and detail
+// asserted.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -47,20 +49,37 @@ WorkflowSimResult RunChaos(uint64_t seed = kSeed) {
   return SimulateWorkflows(ChaosConfig(), MakeBillingModel(Platform::kAwsLambda), seed);
 }
 
+// Expects `audit` to throw IntegrityViolation for exactly `invariant`, naming
+// `entity` and carrying `detail_part` in its detail string: the failure
+// message, not just the invariant name, must survive lazy formatting.
 template <typename Fn>
-void ExpectViolation(const std::string& invariant, Fn&& audit) {
+void ExpectViolation(const std::string& invariant, const std::string& entity,
+                     const std::string& detail_part, Fn&& audit) {
   try {
     audit();
     FAIL() << "expected IntegrityViolation " << invariant << ", none thrown";
   } catch (const IntegrityViolation& e) {
     EXPECT_EQ(e.invariant(), invariant) << e.what();
+    EXPECT_EQ(e.entity(), entity) << e.what();
+    EXPECT_NE(e.detail().find(detail_part), std::string::npos) << e.what();
   }
 }
 
-void Audit(const WorkflowSimResult& res, uint64_t seed = kSeed) {
+int64_t Audit(const WorkflowSimResult& res, uint64_t seed = kSeed) {
   Auditor auditor(AuditLevel::kFull);
   AuditWorkflowRun(res, ChaosConfig(), seed, auditor,
                    MakeBillingModel(Platform::kAwsLambda));
+  return auditor.checks_run();
+}
+
+std::string AttemptEntity(size_t i) { return "attempt " + std::to_string(i); }
+
+// Index of the first attempt row matching `pred`, or attempts.size().
+template <typename Pred>
+size_t FirstAttempt(const WorkflowSimResult& res, Pred pred) {
+  return static_cast<size_t>(
+      std::find_if(res.attempts.begin(), res.attempts.end(), pred) -
+      res.attempts.begin());
 }
 
 // The acceptance sweep: the full-level workflow audit passes on ≥20 chaos
@@ -79,88 +98,93 @@ TEST(WorkflowAudit, CleanChaosSweepPassesTwentySeeds) {
   }
 }
 
+// Golden count of end-of-run checks on the fixed-seed chaos run, recorded
+// before the audit rules were made lazy: any change that drops (or adds) a
+// check moves it. Three per attempt, two per workflow, eight run-level.
+TEST(WorkflowAudit, ChecksRunGolden) {
+  const WorkflowSimResult res = RunChaos();
+  const int64_t checks = Audit(res);
+  EXPECT_EQ(checks, 1292);
+  EXPECT_EQ(checks, static_cast<int64_t>(3 * res.attempts.size() +
+                                         2 * res.workflows.size() + 8));
+}
+
 TEST(WorkflowAudit, InflatedAttemptUsdFiresReconciliation) {
   WorkflowSimResult res = RunChaos();
-  for (HopAttempt& att : res.attempts) {
-    if (att.platform_dispatched) {
-      att.usd += 1.0;
-      break;
-    }
-  }
-  ExpectViolation("workflow.usd_reconciliation", [&] { Audit(res); });
+  const size_t row =
+      FirstAttempt(res, [](const HopAttempt& att) { return att.platform_dispatched; });
+  ASSERT_LT(row, res.attempts.size());
+  res.attempts[row].usd += 1.0;
+  ExpectViolation("workflow.usd_reconciliation", AttemptEntity(row), "got=",
+                  [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, BilledCircuitOpenFiresNeverBilled) {
   WorkflowSimResult res = RunChaos();
-  bool corrupted = false;
-  for (HopAttempt& att : res.attempts) {
-    if (att.attempt.outcome == Outcome::kCircuitOpen) {
-      att.platform_dispatched = true;
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted) << "chaos run produced no circuit-open rows";
-  ExpectViolation("workflow.never_billed", [&] { Audit(res); });
+  const size_t row = FirstAttempt(res, [](const HopAttempt& att) {
+    return att.attempt.outcome == Outcome::kCircuitOpen;
+  });
+  ASSERT_LT(row, res.attempts.size()) << "chaos run produced no circuit-open rows";
+  res.attempts[row].platform_dispatched = true;
+  ExpectViolation("workflow.never_billed", AttemptEntity(row),
+                  std::string("outcome=") + OutcomeName(Outcome::kCircuitOpen),
+                  [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, UsdOnUndispatchedRowFiresNeverBilled) {
   WorkflowSimResult res = RunChaos();
-  bool corrupted = false;
-  for (HopAttempt& att : res.attempts) {
-    if (!att.platform_dispatched) {
-      att.usd = 0.001;
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted) << "chaos run produced no undispatched rows";
-  ExpectViolation("workflow.never_billed", [&] { Audit(res); });
+  const size_t row =
+      FirstAttempt(res, [](const HopAttempt& att) { return !att.platform_dispatched; });
+  ASSERT_LT(row, res.attempts.size()) << "chaos run produced no undispatched rows";
+  res.attempts[row].usd = 0.001;
+  ExpectViolation("workflow.never_billed", AttemptEntity(row),
+                  "undispatched row carries usd=", [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, DroppedCounterFiresAttemptConservation) {
   WorkflowSimResult res = RunChaos();
   res.counters.dispatched_attempts -= 1;
-  ExpectViolation("workflow.attempt_conservation", [&] { Audit(res); });
+  ExpectViolation("workflow.attempt_conservation", "counters", "recounted dispatched=",
+                  [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, InflatedWorkflowRowFiresUsdConservation) {
   WorkflowSimResult res = RunChaos();
   ASSERT_FALSE(res.workflows.empty());
   res.workflows[0].usd += 0.01;
-  ExpectViolation("workflow.usd_conservation", [&] { Audit(res); });
+  ExpectViolation("workflow.usd_conservation", "wf 0", "got=", [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, MiscountedSuccessesFiresOutcomePartition) {
   WorkflowSimResult res = RunChaos();
   res.counters.workflows_succeeded += 1;
-  ExpectViolation("workflow.outcome_partition", [&] { Audit(res); });
+  ExpectViolation("workflow.outcome_partition", "counters", "recounted ok=",
+                  [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, BackwardsAttemptTimeFiresMonotoneCheck) {
   WorkflowSimResult res = RunChaos();
-  bool corrupted = false;
-  for (HopAttempt& att : res.attempts) {
-    if (att.platform_dispatched && att.attempt.dispatched > 0) {
-      att.attempt.end = att.attempt.dispatched - 1;
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted);
-  ExpectViolation("workflow.monotone_attempt_time", [&] { Audit(res); });
+  const size_t row = FirstAttempt(res, [](const HopAttempt& att) {
+    return att.platform_dispatched && att.attempt.dispatched > 0;
+  });
+  ASSERT_LT(row, res.attempts.size());
+  res.attempts[row].attempt.end = res.attempts[row].attempt.dispatched - 1;
+  ExpectViolation("workflow.monotone_attempt_time", AttemptEntity(row),
+                  "end=" + std::to_string(res.attempts[row].attempt.end),
+                  [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, InflatedRunTotalFiresUsdConservation) {
   WorkflowSimResult res = RunChaos();
   res.usd_total += 0.5;
-  ExpectViolation("workflow.usd_conservation", [&] { Audit(res); });
+  ExpectViolation("workflow.usd_conservation", "usd_total", "got=", [&] { Audit(res); });
 }
 
 TEST(WorkflowAudit, WasteDecompositionFires) {
   WorkflowSimResult res = RunChaos();
   res.usd_wasted += 0.25;
-  ExpectViolation("workflow.usd_conservation", [&] { Audit(res); });
+  ExpectViolation("workflow.usd_conservation", "waste decomposition", "got=",
+                  [&] { Audit(res); });
 }
 
 }  // namespace
