@@ -3,18 +3,21 @@
 //
 //   faascost bill      --platform aws --exec-ms 150 --cpu-ms 80
 //                      --vcpus 1 --mem-mb 1769 [--init-ms 400] [--used-mem-mb 300]
-//   faascost cost      [--trace file.csv] [--requests N] [--functions N]
+//   faascost cost      [--trace file.csv] [--requests N] [--functions N] [--seed S]
 //   faascost audit     --sim platform|fleet [--audit-level off|basic|full]
 //                      [--checkpoint f.json --checkpoint-every N|--checkpoint-at N]
-//                      [--resume f.json] [--seed S] [--json]
+//                      [--resume f.json] [--scan-cadence N] [--seed S] [--json]
+//                      (platform: the `failures` scenario flags but --timeout-ms;
+//                       fleet: the `chaos` ones but --zones, --zone-outage-mtbf-s)
 //   faascost rightsize --cpu-ms 160 --slo-ms 500 [--platform aws|gcp]
+//                      [--mem-mb N (gcp)] [--seed S]
 //   faascost generate  --out file.csv [--requests N] [--functions N] [--seed S]
 //   faascost failures  --platform aws --rate 0.05 --retries 3 [--rps N]
 //                      [--seconds N] [--timeout-ms N] [--seed S]
 //   faascost chaos     --platform aws --hosts 16 --mtbf-s 3600 [--mttr-s N]
 //                      [--zones N] [--zone-outage-mtbf-s N] [--graceful F]
 //                      [--breaker-threshold N] [--retries N] [--requests N]
-//                      [--functions N] [--seed S]
+//                      [--functions N] [--seconds N] [--seed S]
 //   faascost observe   --out DIR [--platform P] [--rps N] [--seconds N]
 //                      [--rate R] [--retries N] [--cotenants N] [--seed S]
 //   faascost monitor   --out DIR [--sim fleet|platform] [--window SECONDS]
@@ -26,7 +29,8 @@
 //                       [--retries N]; platform: [--rps N] [--seconds N]
 //                       [--rate R] [--retries N])
 //   faascost workflows --archetype chain|fanout|mapreduce [--hops N]
-//                      [--workflows N] [--wps R] [--rate R] [--retries N]
+//                      [--workflows N] [--wps R] [--rate R] [--init-fail-rate R]
+//                      [--exec-ms N] [--retries N]
 //                      [--timeout-ms N] [--deadline-ms N] [--no-propagate]
 //                      [--hedge-ms N] [--async --async-redrives N] [--quorum K]
 //                      [--zones N --outage-zone Z --outage-start-s S
@@ -36,17 +40,18 @@
 //                      [--seconds N] [--zones N] [--zones-per-region N]
 //                      [--req-kb K] [--resp-kb K] [--class-a N] [--class-b N]
 //                      [--rate R] [--retries N] [--outage-zone Z
-//                       --outage-start-s S --outage-seconds N] [--seed S]
-//                      [--json]
+//                       --outage-start-s S --outage-seconds N] [--window S]
+//                      [--seed S] [--json]
 //   faascost platforms
 //
 // `failures`, `chaos`, `workflows`, `network` and `audit` accept --json for
 // machine-readable output.
 //
 // Exit status (src/cli/exit_codes.h, documented in README): 0 on success,
-// 1 on usage errors, 2 when an integrity invariant or a bit-for-bit USD
-// reconciliation fails mid-run (IntegrityViolation), 3 on a malformed or
-// mismatched checkpoint / unparseable artifact (CheckpointError).
+// 1 on usage errors (including a flag the command does not read, a stray
+// argument, and a nan or inf number), 2 when an integrity invariant or a
+// bit-for-bit USD reconciliation fails mid-run (IntegrityViolation), 3 on a
+// malformed or mismatched checkpoint / unparseable artifact (CheckpointError).
 
 #include <algorithm>
 #include <cerrno>
@@ -58,6 +63,9 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,7 +101,17 @@
 namespace faascost {
 namespace {
 
-// Minimal --flag value parser.
+// A bad flag, flag combination or config value. Main prints each line of the
+// message as "<command>: <line>" and exits 1 (cli::kUsage), so the flag
+// readers below report an error by throwing it.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// Minimal --flag value parser. Every lookup is recorded, so a subcommand can
+// reject, before it runs, a flag it never read: a typo such as --hostz, or a
+// flag that has no effect with the others given.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -114,6 +132,7 @@ class Flags {
   }
 
   std::optional<std::string> Get(const std::string& key) const {
+    read_.insert(key);
     const auto it = values_.find(key);
     if (it == values_.end()) {
       return std::nullopt;
@@ -129,7 +148,9 @@ class Flags {
 
   // Numeric flags are parsed strictly (no atof/atoll: those report neither
   // garbage nor overflow). A malformed value aborts with a usage error
-  // instead of silently running the experiment with 0.
+  // instead of silently running the experiment with 0, and so does nan or
+  // inf: no flag has a meaning for them, and they slip past range checks
+  // written as `x <= 0`.
   double GetDouble(const std::string& key, double fallback) const {
     const auto v = Get(key);
     if (!v.has_value()) {
@@ -138,9 +159,10 @@ class Flags {
     errno = 0;
     char* end = nullptr;
     const double parsed = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
-      std::fprintf(stderr, "faascost: --%s expects a number, got '%s'\n",
-                   key.c_str(), v->c_str());
+    const bool malformed = end == v->c_str() || *end != '\0' || errno == ERANGE;
+    if (malformed || !std::isfinite(parsed)) {
+      std::fprintf(stderr, "faascost: --%s expects a %s, got '%s'\n", key.c_str(),
+                   malformed ? "number" : "finite number", v->c_str());
       std::exit(1);
     }
     return parsed;
@@ -176,48 +198,86 @@ class Flags {
     return secs;
   }
 
-  const std::vector<std::string>& extra() const { return extra_; }
+  // Called by each subcommand once it has read all of its flags, before it
+  // runs or prints anything: a positional argument or a flag that was never
+  // read is a usage error.
+  void RequireAllRead() const {
+    if (!extra_.empty()) {
+      throw UsageError("unexpected argument '" + extra_.front() + "'");
+    }
+    for (const auto& entry : values_) {
+      if (read_.count(entry.first) == 0) {
+        throw UsageError("unknown flag --" + entry.first +
+                         ", or it has no effect with the flags given");
+      }
+    }
+  }
 
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> extra_;
+  mutable std::set<std::string> read_;  // Keys looked up so far.
 };
 
-std::optional<Platform> ParsePlatform(const std::string& name) {
-  static const std::map<std::string, Platform> kNames = {
-      {"aws", Platform::kAwsLambda},
-      {"gcp", Platform::kGcpCloudRunFunctions},
-      {"azure", Platform::kAzureConsumption},
-      {"azure-flex", Platform::kAzureFlexConsumption},
-      {"ibm", Platform::kIbmCodeEngine},
-      {"huawei", Platform::kHuaweiFunctionGraph},
-      {"alibaba", Platform::kAlibabaFunctionCompute},
-      {"oracle", Platform::kOracleFunctions},
-      {"vercel", Platform::kVercelFunctions},
-      {"cloudflare", Platform::kCloudflareWorkers},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end()) {
-    return std::nullopt;
+// Short names accepted by --platform; `faascost platforms` lists them.
+constexpr std::pair<const char*, Platform> kPlatformNames[] = {
+    {"aws", Platform::kAwsLambda},
+    {"gcp", Platform::kGcpCloudRunFunctions},
+    {"azure", Platform::kAzureConsumption},
+    {"azure-flex", Platform::kAzureFlexConsumption},
+    {"ibm", Platform::kIbmCodeEngine},
+    {"huawei", Platform::kHuaweiFunctionGraph},
+    {"alibaba", Platform::kAlibabaFunctionCompute},
+    {"oracle", Platform::kOracleFunctions},
+    {"vercel", Platform::kVercelFunctions},
+    {"cloudflare", Platform::kCloudflareWorkers},
+};
+
+// --platform (default aws), one of kPlatformNames.
+Platform ReadPlatform(const Flags& flags) {
+  const std::string name = flags.Get("platform").value_or("aws");
+  for (const auto& [short_name, platform] : kPlatformNames) {
+    if (name == short_name) {
+      return platform;
+    }
   }
-  return it->second;
+  throw UsageError("unknown platform '" + name + "'");
 }
 
-int CmdPlatforms() {
+// Throws the config's Validate() errors, one per line, so that bad flag
+// values surface as CLI messages rather than a simulator constructor's.
+void RequireValid(const std::vector<std::string>& errors) {
+  if (errors.empty()) {
+    return;
+  }
+  std::string message;
+  for (const std::string& err : errors) {
+    message += (message.empty() ? "" : "\n") + err;
+  }
+  throw UsageError(message);
+}
+
+template <typename T>
+void RequirePositive(const char* flag, T value) {
+  if (value <= 0) {
+    throw UsageError(std::string("--") + flag + " must be > 0");
+  }
+}
+
+// --requests and --functions (per-command defaults) of a synthetic trace.
+TraceGenConfig ReadTraceShape(const Flags& flags, int64_t requests, int64_t functions) {
+  TraceGenConfig cfg;
+  cfg.num_requests = flags.GetInt("requests", requests);
+  cfg.num_functions = flags.GetInt("functions", functions);
+  RequirePositive("requests", cfg.num_requests);
+  RequirePositive("functions", cfg.num_functions);
+  return cfg;
+}
+
+int CmdPlatforms(const Flags& flags) {
+  flags.RequireAllRead();
   TextTable t({"Short name", "Platform", "Billable time", "Fee"});
-  const std::pair<const char*, Platform> rows[] = {
-      {"aws", Platform::kAwsLambda},
-      {"gcp", Platform::kGcpCloudRunFunctions},
-      {"azure", Platform::kAzureConsumption},
-      {"azure-flex", Platform::kAzureFlexConsumption},
-      {"ibm", Platform::kIbmCodeEngine},
-      {"huawei", Platform::kHuaweiFunctionGraph},
-      {"alibaba", Platform::kAlibabaFunctionCompute},
-      {"oracle", Platform::kOracleFunctions},
-      {"vercel", Platform::kVercelFunctions},
-      {"cloudflare", Platform::kCloudflareWorkers},
-  };
-  for (const auto& [name, p] : rows) {
+  for (const auto& [name, p] : kPlatformNames) {
     const BillingModel m = MakeBillingModel(p);
     const char* time_kind = m.billable_time == BillableTime::kTurnaround ? "turnaround"
                             : m.billable_time == BillableTime::kExecution
@@ -231,16 +291,10 @@ int CmdPlatforms() {
 }
 
 int CmdBill(const Flags& flags) {
-  const auto platform_name = flags.Get("platform");
-  if (!platform_name.has_value()) {
-    std::fprintf(stderr, "bill: --platform is required (see 'faascost platforms')\n");
-    return 1;
+  if (!flags.Get("platform").has_value()) {
+    throw UsageError("--platform is required (see 'faascost platforms')");
   }
-  const auto platform = ParsePlatform(*platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "bill: unknown platform '%s'\n", platform_name->c_str());
-    return 1;
-  }
+  const Platform platform = ReadPlatform(flags);
   RequestRecord r;
   r.exec_duration = MillisToMicros(flags.GetDouble("exec-ms", 100.0));
   r.cpu_time = MillisToMicros(flags.GetDouble("cpu-ms", 50.0));
@@ -249,8 +303,9 @@ int CmdBill(const Flags& flags) {
   r.used_mem_mb = flags.GetDouble("used-mem-mb", r.alloc_mem_mb / 4.0);
   r.init_duration = MillisToMicros(flags.GetDouble("init-ms", 0.0));
   r.cold_start = r.init_duration > 0;
+  flags.RequireAllRead();
 
-  const BillingModel model = MakeBillingModel(*platform);
+  const BillingModel model = MakeBillingModel(platform);
   const SnappedAllocation alloc = SnapAllocation(model, r.alloc_vcpus, r.alloc_mem_mb);
   const Invoice inv = ComputeInvoice(model, r);
 
@@ -270,6 +325,7 @@ int CmdCost(const Flags& flags) {
   std::vector<RequestRecord> trace;
   const auto path = flags.Get("trace");
   if (path.has_value()) {
+    flags.RequireAllRead();
     size_t skipped = 0;
     trace = ReadTraceCsvFile(*path, &skipped);
     if (trace.empty()) {
@@ -279,12 +335,12 @@ int CmdCost(const Flags& flags) {
     std::printf("Read %zu records (%zu skipped) from %s\n", trace.size(), skipped,
                 path->c_str());
   } else {
-    TraceGenConfig cfg;
-    cfg.num_requests = flags.GetInt("requests", 200'000);
-    cfg.num_functions = flags.GetInt("functions", 1'000);
+    const TraceGenConfig cfg = ReadTraceShape(flags, 200'000, 1'000);
+    const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+    flags.RequireAllRead();
     std::printf("Generating %lld synthetic requests...\n",
                 static_cast<long long>(cfg.num_requests));
-    trace = TraceGenerator(cfg, static_cast<uint64_t>(flags.GetInt("seed", 1))).Generate();
+    trace = TraceGenerator(cfg, seed).Generate();
   }
 
   TextTable t({"Platform", "total $", "$ / 1k requests", "fees share", "CPU inflation",
@@ -315,13 +371,14 @@ int CmdRightsize(const Flags& flags) {
   const std::string platform = flags.Get("platform").value_or("aws");
   const MicroSecs cpu_demand = MillisToMicros(flags.GetDouble("cpu-ms", 160.0));
   const double slo_ms = flags.GetDouble("slo-ms", 1'000.0);
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   if (platform == "aws") {
+    flags.RequireAllRead();
     RightsizingConfig cfg;
     cfg.cpu_demand = cpu_demand;
     cfg.latency_slo_ms = slo_ms;
     const RightsizingResult r =
-        RightsizeAwsMemory(cfg, MakeBillingModel(Platform::kAwsLambda),
-                           static_cast<uint64_t>(flags.GetInt("seed", 1)));
+        RightsizeAwsMemory(cfg, MakeBillingModel(Platform::kAwsLambda), seed);
     std::printf("AWS Lambda, %.0f ms CPU, SLO %.0f ms:\n",
                 MicrosToMillis(cpu_demand), slo_ms);
     std::printf("  recommended memory: %.0f MB (%.1f ms, $%.4g per invocation)\n",
@@ -337,9 +394,9 @@ int CmdRightsize(const Flags& flags) {
     cfg.cpu_demand = cpu_demand;
     cfg.latency_slo_ms = slo_ms;
     cfg.mem_mb = flags.GetDouble("mem-mb", 512.0);
+    flags.RequireAllRead();
     const RightsizingResult r =
-        RightsizeGcpCpu(cfg, MakeBillingModel(Platform::kGcpCloudRunFunctions),
-                        static_cast<uint64_t>(flags.GetInt("seed", 1)));
+        RightsizeGcpCpu(cfg, MakeBillingModel(Platform::kGcpCloudRunFunctions), seed);
     std::printf("GCP, %.0f ms CPU at %.0f MB, SLO %.0f ms:\n",
                 MicrosToMillis(cpu_demand), cfg.mem_mb, slo_ms);
     std::printf("  recommended CPU: %.2f vCPUs (%.1f ms, $%.4g per invocation)\n",
@@ -350,21 +407,18 @@ int CmdRightsize(const Flags& flags) {
                 r.savings_fraction * 100.0);
     return 0;
   }
-  std::fprintf(stderr, "rightsize: --platform must be aws or gcp\n");
-  return 1;
+  throw UsageError("--platform must be aws or gcp");
 }
 
 int CmdGenerate(const Flags& flags) {
   const auto out = flags.Get("out");
   if (!out.has_value()) {
-    std::fprintf(stderr, "generate: --out is required\n");
-    return 1;
+    throw UsageError("--out is required");
   }
-  TraceGenConfig cfg;
-  cfg.num_requests = flags.GetInt("requests", 100'000);
-  cfg.num_functions = flags.GetInt("functions", 1'000);
-  TraceGenerator gen(cfg, static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  const auto trace = gen.Generate();
+  const TraceGenConfig cfg = ReadTraceShape(flags, 100'000, 1'000);
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  flags.RequireAllRead();
+  const auto trace = TraceGenerator(cfg, seed).Generate();
   const size_t written = WriteTraceCsvFile(*out, trace);
   if (written == 0) {
     std::fprintf(stderr, "generate: could not write %s\n", out->c_str());
@@ -374,11 +428,8 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-// Platform-sim preset for the subset of platforms that have one; reports a
-// usage error under `cmd` otherwise.
-std::optional<PlatformSimConfig> SimPreset(Platform platform,
-                                           const std::string& platform_name,
-                                           const char* cmd) {
+// Platform-sim preset for the subset of platforms that have one.
+PlatformSimConfig SimPreset(Platform platform, const std::string& platform_name) {
   switch (platform) {
     case Platform::kAwsLambda:
       return AwsLambdaPlatform(1.0, 1769.0);
@@ -391,59 +442,142 @@ std::optional<PlatformSimConfig> SimPreset(Platform platform,
     case Platform::kIbmCodeEngine:
       return IbmPlatform(1.0, 2048.0);
     default:
-      std::fprintf(stderr,
-                   "%s: no platform-sim preset for '%s' "
-                   "(use aws, gcp, azure, ibm or cloudflare)\n",
-                   cmd, platform_name.c_str());
-      return std::nullopt;
+      throw UsageError("no platform-sim preset for '" + platform_name +
+                       "' (use aws, gcp, azure, ibm or cloudflare)");
   }
+}
+
+// A steady request stream on a platform-sim preset: the scenario that
+// `failures`, `observe`, `monitor --sim platform` and `audit --sim platform`
+// share.
+struct PlatformScenario {
+  Platform platform;
+  PlatformSimConfig sim;
+  double rps = 0.0;
+  int64_t seconds = 0;
+  uint64_t seed = 0;
+
+  std::vector<MicroSecs> Arrivals() const {
+    return UniformArrivals(rps, seconds * kMicrosPerSec);
+  }
+};
+
+// Reads --platform (one with a sim preset), --rate (crash probability; init
+// failures at rate / 4), --retries, --rps, --seconds and --seed, each
+// defaulting to the caller's value. Callers set their own flags on `sim`,
+// then RequireValid(sim.Validate()).
+PlatformScenario ReadPlatformScenario(const Flags& flags, double rate, double rps,
+                                      int64_t seconds, int64_t seed) {
+  const Platform platform = ReadPlatform(flags);
+  PlatformScenario sc{platform, SimPreset(platform, flags.Get("platform").value_or(""))};
+  const double crash_prob = flags.GetDouble("rate", rate);
+  if (crash_prob < 0.0 || crash_prob > 1.0) {
+    throw UsageError("--rate must be in [0, 1]");
+  }
+  sc.sim.faults.crash_prob = crash_prob;
+  sc.sim.faults.init_failure_prob = crash_prob / 4.0;
+  sc.sim.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  sc.rps = flags.GetDouble("rps", rps);
+  sc.seconds = flags.GetSeconds("seconds", seconds);
+  sc.seed = static_cast<uint64_t>(flags.GetInt("seed", seed));
+  RequirePositive("rps", sc.rps);
+  RequirePositive("seconds", sc.seconds);
+  return sc;
+}
+
+// A synthetic trace replayed on the fleet: the scenario that `chaos`,
+// `monitor --sim fleet`, `audit --sim fleet` and `network` share.
+struct FleetScenario {
+  Platform platform;
+  TraceGenConfig trace;
+  FleetSimConfig sim;
+  uint64_t seed = 0;
+};
+
+// Reads --platform, --requests, --functions, --seconds, --seed and --retries
+// and, with `host_faults`, the host fault domains (--hosts, --mtbf-s,
+// --mttr-s, --graceful). Callers set their own flags, then
+// RequireValid(sim.Validate()).
+FleetScenario ReadFleetScenario(const Flags& flags, bool host_faults) {
+  FleetScenario sc{ReadPlatform(flags), ReadTraceShape(flags, 20'000, 200), {}};
+  sc.trace.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
+  RequirePositive("seconds", sc.trace.window);
+  sc.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  sc.sim.fault_seed = sc.seed;
+  sc.sim.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  if (host_faults) {
+    sc.sim.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
+    sc.sim.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
+    sc.sim.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
+    sc.sim.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
+  }
+  return sc;
+}
+
+// Integrity gate shared by observe, monitor and network: per-window USD must
+// reproduce the span totals bit-for-bit. False after a report under `cmd`.
+bool Reconciled(const char* cmd, const char* what, const BilledReconciliation& rec) {
+  if (rec.ok) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "%s: %s reconciliation FAILED: window %lld, "
+               "series total %.17g vs span total %.17g\n",
+               cmd, what, static_cast<long long>(rec.first_mismatch_window),
+               rec.timeseries_total, rec.span_total);
+  return false;
+}
+
+AuditLevel ReadAuditLevel(const Flags& flags, const char* fallback) {
+  const std::string name = flags.Get("audit-level").value_or(fallback);
+  try {
+    return ParseAuditLevel(name);
+  } catch (const std::invalid_argument&) {
+    throw UsageError("--audit-level must be off, basic or full, got '" + name + "'");
+  }
+}
+
+// --outage-zone Z [--outage-start-s S] [--outage-seconds N], when given.
+template <typename Outage>
+std::optional<Outage> ReadOutage(const Flags& flags) {
+  if (!flags.Get("outage-zone").has_value()) {
+    return std::nullopt;
+  }
+  Outage outage;
+  outage.zone = static_cast<int>(flags.GetInt("outage-zone", 0));
+  outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
+  outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
+  return outage;
+}
+
+// Prints a two-series ASCII chart over sim time.
+void PrintChart(const char* title, const char* y_label, ChartSeries a, ChartSeries b) {
+  AsciiChart chart(72, 12);
+  chart.SetTitle(title);
+  chart.SetXLabel("sim time (s)");
+  chart.SetYLabel(y_label);
+  chart.AddSeries(std::move(a));
+  chart.AddSeries(std::move(b));
+  std::printf("%s", chart.Render().c_str());
 }
 
 // Cost-of-failure exploration on a simulated platform: run a steady request
 // stream with fault injection and client retries, then report the outcome
 // taxonomy and what the failures were billed.
 int CmdFailures(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "failures: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
-  const auto preset = SimPreset(*platform, platform_name, "failures");
-  if (!preset.has_value()) {
-    return 1;
-  }
-  PlatformSimConfig sim_config = *preset;
-
-  const double rate = flags.GetDouble("rate", 0.05);
-  if (rate < 0.0 || rate > 1.0) {
-    std::fprintf(stderr, "failures: --rate must be in [0, 1]\n");
-    return 1;
-  }
-  sim_config.faults.crash_prob = rate;
-  sim_config.faults.init_failure_prob = rate / 4.0;
+  PlatformScenario sc = ReadPlatformScenario(flags, /*rate=*/0.05, /*rps=*/5.0,
+                                             /*seconds=*/120, /*seed=*/1);
+  PlatformSimConfig& sim_config = sc.sim;
   sim_config.faults.max_exec_duration =
       MillisToMicros(flags.GetDouble("timeout-ms", 0.0));
-  sim_config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  const bool json = flags.GetBool("json");
+  RequireValid(sim_config.Validate());
+  flags.RequireAllRead();
 
-  // Surface config errors (bad --retries / --timeout-ms) as CLI messages
-  // instead of letting the PlatformSim constructor throw.
-  const std::vector<std::string> errors = sim_config.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "failures: %s\n", err.c_str());
-    }
-    return 1;
-  }
+  PlatformSim sim(sim_config, sc.seed);
+  const PlatformSimResult res = sim.Run(sc.Arrivals(), PyAesWorkload());
 
-  const double rps = flags.GetDouble("rps", 5.0);
-  const MicroSecs seconds = flags.GetSeconds("seconds", 120);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  PlatformSim sim(sim_config, seed);
-  const PlatformSimResult res =
-      sim.Run(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
-
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(sc.platform);
   Usd total = 0.0;
   Usd failed_cost = 0.0;
   for (const auto& att : res.attempts) {
@@ -455,16 +589,16 @@ int CmdFailures(const Flags& flags) {
     }
   }
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     w.BeginObject();
     w.KV("platform", billing.platform);
-    w.KV("rps", rps);
-    w.KV("seconds", static_cast<int64_t>(seconds));
+    w.KV("rps", sc.rps);
+    w.KV("seconds", sc.seconds);
     w.KV("crash_prob", sim_config.faults.crash_prob);
     w.KV("init_failure_prob", sim_config.faults.init_failure_prob);
     w.KV("max_attempts", sim_config.retry.max_attempts);
-    w.KV("seed", static_cast<int64_t>(seed));
+    w.KV("seed", static_cast<int64_t>(sc.seed));
     w.KV("requests", static_cast<int64_t>(res.requests.size()));
     w.KV("successes", res.successes);
     w.KV("attempts", static_cast<int64_t>(res.attempts.size()));
@@ -484,7 +618,7 @@ int CmdFailures(const Flags& flags) {
   }
 
   std::printf("%s: %.1f rps for %llds, crash %.1f%%, init-failure %.2f%%, %d attempts max\n",
-              billing.platform.c_str(), rps, static_cast<long long>(seconds),
+              billing.platform.c_str(), sc.rps, static_cast<long long>(sc.seconds),
               sim_config.faults.crash_prob * 100.0,
               sim_config.faults.init_failure_prob * 100.0, sim_config.retry.max_attempts);
   std::printf("Requests:             %zu (%lld ok, %lld failed terminally)\n",
@@ -512,48 +646,25 @@ int CmdFailures(const Flags& flags) {
 // fault injection, and report what the failures cost in availability, tail
 // latency and dollars per successful request.
 int CmdChaos(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "chaos: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
-
-  TraceGenConfig tcfg;
-  tcfg.num_requests = flags.GetInt("requests", 20'000);
-  tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-
-  FleetSimConfig chaos;
-  chaos.fault_seed = seed;
-  chaos.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  FleetScenario sc = ReadFleetScenario(flags, /*host_faults=*/true);
+  const TraceGenConfig& tcfg = sc.trace;
+  const uint64_t seed = sc.seed;
+  FleetSimConfig& chaos = sc.sim;
   chaos.retry.breaker_threshold =
       static_cast<int>(flags.GetInt("breaker-threshold", 0));
-  chaos.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
-  chaos.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
-  chaos.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
   chaos.host_faults.zones = static_cast<int>(flags.GetInt("zones", 1));
   chaos.host_faults.zone_outage_mtbf_seconds =
       flags.GetDouble("zone-outage-mtbf-s", 0.0);
-  chaos.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
-
-  // Surface config errors (bad --mtbf-s / --graceful / ...) as CLI messages
-  // instead of letting SimulateFleet throw.
-  const std::vector<std::string> errors = chaos.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "chaos: %s\n", err.c_str());
-    }
-    return 1;
-  }
+  const bool json = flags.GetBool("json");
+  RequireValid(chaos.Validate());
+  flags.RequireAllRead();
 
   FleetSimConfig healthy = chaos;
   healthy.host_faults = HostFaultModelConfig{};
   healthy.retry.breaker_threshold = 0;
 
   const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(sc.platform);
   const FleetResult base = SimulateFleet(trace, billing, healthy);
   const FleetResult res = SimulateFleet(trace, billing, chaos);
 
@@ -575,7 +686,7 @@ int CmdChaos(const Flags& flags) {
     return r.successes > 0 ? r.revenue / static_cast<double>(r.successes) : 0.0;
   };
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     const auto scenario = [&](const char* key, const FleetResult& r) {
       w.Key(key);
@@ -661,90 +772,46 @@ int CmdChaos(const Flags& flags) {
 int CmdObserve(const Flags& flags) {
   const auto out = flags.Get("out");
   if (!out.has_value()) {
-    std::fprintf(stderr, "observe: --out DIR is required\n");
-    return 1;
+    throw UsageError("--out DIR is required");
   }
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "observe: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
+  PlatformScenario sc = ReadPlatformScenario(flags, /*rate=*/0.02, /*rps=*/5.0,
+                                             /*seconds=*/60, /*seed=*/1);
+  PlatformSimConfig& sim_config = sc.sim;
+  RequireValid(sim_config.Validate());
+  const int cotenants = static_cast<int>(flags.GetInt("cotenants", 0));
+  if (cotenants < 0) {
+    throw UsageError("--cotenants must be >= 0");
   }
-  const auto preset = SimPreset(*platform, platform_name, "observe");
-  if (!preset.has_value()) {
-    return 1;
-  }
-  PlatformSimConfig sim_config = *preset;
-
-  const double rate = flags.GetDouble("rate", 0.02);
-  if (rate < 0.0 || rate > 1.0) {
-    std::fprintf(stderr, "observe: --rate must be in [0, 1]\n");
-    return 1;
-  }
-  sim_config.faults.crash_prob = rate;
-  sim_config.faults.init_failure_prob = rate / 4.0;
-  sim_config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  const std::vector<std::string> errors = sim_config.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "observe: %s\n", err.c_str());
-    }
-    return 1;
-  }
-
-  const double rps = flags.GetDouble("rps", 5.0);
-  if (rps <= 0.0) {
-    std::fprintf(stderr, "observe: --rps must be > 0\n");
-    return 1;
-  }
-  const MicroSecs seconds = flags.GetSeconds("seconds", 60);
-  if (seconds <= 0) {
-    std::fprintf(stderr, "observe: --seconds must be > 0\n");
-    return 1;
-  }
-  const int cotenants_flag = static_cast<int>(flags.GetInt("cotenants", 0));
-  if (cotenants_flag < 0) {
-    std::fprintf(stderr, "observe: --cotenants must be >= 0\n");
-    return 1;
-  }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  flags.RequireAllRead();
 
   SpanCollector collector;
   TimeSeries series(sim_config.autoscaler.sample_interval);
   sim_config.trace = &collector;
   sim_config.timeseries = &series;
-  PlatformSim sim(sim_config, seed);
-  const PlatformSimResult res =
-      sim.Run(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
+  PlatformSim sim(sim_config, sc.seed);
+  const PlatformSimResult res = sim.Run(sc.Arrivals(), PyAesWorkload());
 
   // Optional OS-scheduling layer: co-tenants contending on a shared host for
   // the same window, emitting throttle/preempt spans onto sched.tenants
   // tracks in the same trace.
-  const int cotenants = cotenants_flag;
   if (cotenants > 0) {
     HostSimConfig host;
-    host.duration = seconds * kMicrosPerSec;
+    host.duration = sc.seconds * kMicrosPerSec;
     host.trace = &collector;
     std::vector<TenantSpec> tenants(static_cast<size_t>(cotenants));
     for (size_t i = 0; i < tenants.size(); ++i) {
       tenants[i].quota_fraction = 0.5;
       tenants[i].demand_fraction = i == 0 ? 1.0 : 0.7;
     }
-    SimulateHost(host, tenants, seed);
+    SimulateHost(host, tenants, sc.seed);
   }
 
   // Attach billing provenance to the platform spans, then export.
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(sc.platform);
   const ProvenanceTotals totals =
       TagPlatformSpanBilling(collector.mutable_spans(), res, sim_config, billing);
   IngestBilledSpans(series, collector.spans());
-  const BilledReconciliation rec = ReconcileBilledUsd(series, collector.spans());
-  if (!rec.ok) {
-    std::fprintf(stderr,
-                 "observe: billed-USD reconciliation FAILED: window %lld, "
-                 "series total %.17g vs span total %.17g\n",
-                 static_cast<long long>(rec.first_mismatch_window),
-                 rec.timeseries_total, rec.span_total);
+  if (!Reconciled("observe", "billed-USD", ReconcileBilledUsd(series, collector.spans()))) {
     return cli::kIntegrityViolation;
   }
 
@@ -765,9 +832,9 @@ int CmdObserve(const Flags& flags) {
 
   // ASCII summary: where the run's time and dollars went, by span kind.
   std::printf("%s: %.1f rps for %llds, crash %.1f%%, %d attempts max, seed %llu\n",
-              billing.platform.c_str(), rps, static_cast<long long>(seconds),
-              rate * 100.0, sim_config.retry.max_attempts,
-              static_cast<unsigned long long>(seed));
+              billing.platform.c_str(), sc.rps, static_cast<long long>(sc.seconds),
+              sim_config.faults.crash_prob * 100.0, sim_config.retry.max_attempts,
+              static_cast<unsigned long long>(sc.seed));
   std::printf("Requests: %zu (%lld ok), attempts: %zu, cold starts: %d\n",
               res.requests.size(), static_cast<long long>(res.successes),
               res.attempts.size(), res.cold_starts);
@@ -808,10 +875,6 @@ int CmdObserve(const Flags& flags) {
   // window holding the sample (window width = sample interval, so one
   // sample per window).
   if (!res.timeline.empty()) {
-    AsciiChart chart(72, 12);
-    chart.SetTitle("warm pool (w) and queue depth (q) over time");
-    chart.SetXLabel("sim time (s)");
-    chart.SetYLabel("sandboxes / requests");
     ChartSeries warm{"warm pool", 'w', {}};
     ChartSeries queue{"queue depth", 'q', {}};
     for (const TimelineSample& sample : res.timeline) {
@@ -821,9 +884,8 @@ int CmdObserve(const Flags& flags) {
       queue.points.push_back(
           {t, static_cast<double>(series.window_at(window).queue_depth_max)});
     }
-    chart.AddSeries(std::move(warm));
-    chart.AddSeries(std::move(queue));
-    std::printf("%s", chart.Render().c_str());
+    PrintChart("warm pool (w) and queue depth (q) over time", "sandboxes / requests",
+               std::move(warm), std::move(queue));
   }
 
   std::printf("Wrote %s (%zu spans) and %s (%zu windows)\n", trace_path.c_str(),
@@ -842,30 +904,19 @@ int CmdObserve(const Flags& flags) {
 int CmdMonitor(const Flags& flags) {
   const auto out = flags.Get("out");
   if (!out.has_value()) {
-    std::fprintf(stderr, "monitor: --out DIR is required\n");
-    return 1;
+    throw UsageError("--out DIR is required");
   }
   const std::string sim_name = flags.Get("sim").value_or("fleet");
   if (sim_name != "fleet" && sim_name != "platform") {
-    std::fprintf(stderr, "monitor: --sim must be fleet or platform, got '%s'\n",
-                 sim_name.c_str());
-    return 1;
-  }
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "monitor: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
+    throw UsageError("--sim must be fleet or platform, got '" + sim_name + "'");
   }
   const int64_t window_s = flags.GetSeconds("window", 60);
   if (window_s <= 0) {
-    std::fprintf(stderr, "monitor: --window must be > 0 seconds\n");
-    return 1;
+    throw UsageError("--window must be > 0 seconds");
   }
   const double slo_ms = flags.GetDouble("slo", 1'000.0);
   if (slo_ms <= 0.0) {
-    std::fprintf(stderr, "monitor: --slo must be a positive latency in ms\n");
-    return 1;
+    throw UsageError("--slo must be a positive latency in ms");
   }
   SloSpec slo;
   slo.target = flags.GetDouble("slo-target", 0.99);
@@ -873,51 +924,33 @@ int CmdMonitor(const Flags& flags) {
   slo.slow_windows = static_cast<int>(flags.GetInt("slow-windows", 12));
   slo.fast_burn = flags.GetDouble("fast-burn", 14.4);
   slo.slow_burn = flags.GetDouble("slow-burn", 6.0);
-  const std::vector<std::string> slo_errors = slo.Validate();
-  if (!slo_errors.empty()) {
-    for (const std::string& err : slo_errors) {
-      std::fprintf(stderr, "monitor: %s\n", err.c_str());
-    }
-    return 1;
-  }
+  RequireValid(slo.Validate());
   const bool profile = flags.GetBool("profile-engine");
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   TimeSeries series(window_s * kMicrosPerSec);
   slo.objective_id = series.AddLatencyObjective(MillisToMicros(slo_ms));
   EngineProfiler profiler;
   SpanCollector collector;
-  const BillingModel billing = MakeBillingModel(*platform);
+  BillingModel billing;
+  uint64_t seed = 0;
 
   std::string scenario;
   if (sim_name == "fleet") {
     // Fleet chaos scenario (the `faascost chaos` shape): host fault domains,
     // client retries, admission defaults — the run where windowed telemetry
     // has something to show.
-    TraceGenConfig tcfg;
-    tcfg.num_requests = flags.GetInt("requests", 20'000);
-    tcfg.num_functions = flags.GetInt("functions", 200);
-    tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
-
-    FleetSimConfig cfg;
-    cfg.fault_seed = seed;
-    cfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-    cfg.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
-    cfg.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
-    cfg.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
-    cfg.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
+    FleetScenario sc = ReadFleetScenario(flags, /*host_faults=*/true);
+    const TraceGenConfig& tcfg = sc.trace;
+    FleetSimConfig& cfg = sc.sim;
     cfg.trace_sink = &collector;
     cfg.timeseries = &series;
     if (profile) {
       cfg.profiler = &profiler;
     }
-    const std::vector<std::string> errors = cfg.Validate();
-    if (!errors.empty()) {
-      for (const std::string& err : errors) {
-        std::fprintf(stderr, "monitor: %s\n", err.c_str());
-      }
-      return 1;
-    }
+    RequireValid(cfg.Validate());
+    flags.RequireAllRead();
+    billing = MakeBillingModel(sc.platform);
+    seed = sc.seed;
 
     if (profile) {
       profiler.BeginPhase("generate_trace");
@@ -936,43 +969,23 @@ int CmdMonitor(const Flags& flags) {
                std::to_string(cfg.host_faults.hosts) + " hosts, " +
                std::to_string(res.host_fault_sandbox_kills) + " sandbox kills";
   } else {
-    const auto preset = SimPreset(*platform, platform_name, "monitor");
-    if (!preset.has_value()) {
-      return 1;
-    }
-    PlatformSimConfig cfg = *preset;
-    const double rate = flags.GetDouble("rate", 0.02);
-    if (rate < 0.0 || rate > 1.0) {
-      std::fprintf(stderr, "monitor: --rate must be in [0, 1]\n");
-      return 1;
-    }
-    cfg.faults.crash_prob = rate;
-    cfg.faults.init_failure_prob = rate / 4.0;
-    cfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+    PlatformScenario sc = ReadPlatformScenario(flags, /*rate=*/0.02, /*rps=*/20.0,
+                                               /*seconds=*/600, /*seed=*/7);
+    PlatformSimConfig& cfg = sc.sim;
     cfg.trace = &collector;
     cfg.timeseries = &series;
     if (profile) {
       cfg.profiler = &profiler;
     }
-    const std::vector<std::string> errors = cfg.Validate();
-    if (!errors.empty()) {
-      for (const std::string& err : errors) {
-        std::fprintf(stderr, "monitor: %s\n", err.c_str());
-      }
-      return 1;
-    }
-    const double rps = flags.GetDouble("rps", 20.0);
-    const MicroSecs seconds = flags.GetSeconds("seconds", 600);
-    if (rps <= 0.0 || seconds <= 0) {
-      std::fprintf(stderr, "monitor: --rps and --seconds must be > 0\n");
-      return 1;
-    }
+    RequireValid(cfg.Validate());
+    flags.RequireAllRead();
+    billing = MakeBillingModel(sc.platform);
+    seed = sc.seed;
     if (profile) {
       profiler.BeginPhase("simulate");
     }
     PlatformSim sim(cfg, seed);
-    const PlatformSimResult res =
-        sim.Run(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
+    const PlatformSimResult res = sim.Run(sc.Arrivals(), PyAesWorkload());
     if (profile) {
       profiler.EndPhase();
       profiler.BeginPhase("price_spans");
@@ -993,13 +1006,7 @@ int CmdMonitor(const Flags& flags) {
   // The acceptance gate: per-window billed USD must reproduce the span
   // totals bit-for-bit. A mismatch means telemetry dropped or double-counted
   // money — an integrity failure, same exit code as a tripped invariant.
-  const BilledReconciliation rec = ReconcileBilledUsd(series, collector.spans());
-  if (!rec.ok) {
-    std::fprintf(stderr,
-                 "monitor: billed-USD reconciliation FAILED: window %lld, "
-                 "series total %.17g vs span total %.17g\n",
-                 static_cast<long long>(rec.first_mismatch_window),
-                 rec.timeseries_total, rec.span_total);
+  if (!Reconciled("monitor", "billed-USD", ReconcileBilledUsd(series, collector.spans()))) {
     return cli::kIntegrityViolation;
   }
 
@@ -1056,35 +1063,21 @@ int CmdMonitor(const Flags& flags) {
   std::printf("%s", totals.Render().c_str());
 
   if (series.window_count() > 1) {
-    AsciiChart chart(72, 12);
-    chart.SetTitle("billed ($) and waste (w) USD per window");
-    chart.SetXLabel("sim time (s)");
-    chart.SetYLabel("USD");
     ChartSeries billed{"billed", '$', {}};
     ChartSeries waste{"waste", 'w', {}};
-    for (size_t i = 0; i < series.window_count(); ++i) {
-      const double t = static_cast<double>((static_cast<int64_t>(i) + 1) * window_s);
-      billed.points.push_back({t, series.window_at(i).billed_usd});
-      waste.points.push_back({t, series.window_at(i).WasteTotal()});
-    }
-    chart.AddSeries(std::move(billed));
-    chart.AddSeries(std::move(waste));
-    std::printf("%s", chart.Render().c_str());
-
-    AsciiChart lat(72, 12);
-    lat.SetTitle("p95 (9) and p50 (5) latency per window");
-    lat.SetXLabel("sim time (s)");
-    lat.SetYLabel("ms");
     ChartSeries p95{"p95", '9', {}};
     ChartSeries p50{"p50", '5', {}};
     for (size_t i = 0; i < series.window_count(); ++i) {
       const double t = static_cast<double>((static_cast<int64_t>(i) + 1) * window_s);
+      billed.points.push_back({t, series.window_at(i).billed_usd});
+      waste.points.push_back({t, series.window_at(i).WasteTotal()});
       p95.points.push_back({t, series.window_at(i).latency_us.Quantile(0.95) / 1000.0});
       p50.points.push_back({t, series.window_at(i).latency_us.Quantile(0.50) / 1000.0});
     }
-    lat.AddSeries(std::move(p95));
-    lat.AddSeries(std::move(p50));
-    std::printf("%s", lat.Render().c_str());
+    PrintChart("billed ($) and waste (w) USD per window", "USD", std::move(billed),
+               std::move(waste));
+    PrintChart("p95 (9) and p50 (5) latency per window", "ms", std::move(p95),
+               std::move(p50));
   }
 
   if (alerts.empty()) {
@@ -1126,42 +1119,50 @@ struct CheckpointPlan {
   MicroSecs every = 0;  // Rolling checkpoint (atomic overwrite) each interval.
 };
 
-// Parses --checkpoint/--checkpoint-at/--checkpoint-every; nullopt + usage
-// error when the combination is inconsistent.
-std::optional<CheckpointPlan> ParseCheckpointPlan(const Flags& flags, bool* bad) {
-  *bad = false;
+// Parses --checkpoint/--checkpoint-at/--checkpoint-every; nullopt without
+// --checkpoint, a usage error when the combination is inconsistent.
+std::optional<CheckpointPlan> ParseCheckpointPlan(const Flags& flags) {
   const auto path = flags.Get("checkpoint");
   const int64_t at_s = flags.GetSeconds("checkpoint-at", 0);
   const int64_t every_s = flags.GetSeconds("checkpoint-every", 0);
   if (!path.has_value()) {
     if (at_s > 0 || every_s > 0) {
-      std::fprintf(stderr, "audit: --checkpoint-at/--checkpoint-every need --checkpoint\n");
-      *bad = true;
+      throw UsageError("--checkpoint-at/--checkpoint-every need --checkpoint");
     }
     return std::nullopt;
   }
   if ((at_s > 0) == (every_s > 0)) {
-    std::fprintf(stderr,
-                 "audit: --checkpoint needs exactly one of --checkpoint-at N or "
-                 "--checkpoint-every N (seconds)\n");
-    *bad = true;
-    return std::nullopt;
+    throw UsageError(
+        "--checkpoint needs exactly one of --checkpoint-at N or "
+        "--checkpoint-every N (seconds)");
   }
   return CheckpointPlan{*path, at_s * kMicrosPerSec, every_s * kMicrosPerSec};
 }
 
-// Verifies a loaded checkpoint belongs to this scenario before any state is
-// restored; throws CheckpointError (CLI exit 3) otherwise.
-void RequireCheckpointMatch(const LoadedCheckpoint& cp, const std::string& sim,
-                            uint64_t config_hash, uint64_t input_digest) {
+// The audit flags both sims share.
+struct AuditOptions {
+  AuditLevel level = AuditLevel::kFull;
+  std::optional<CheckpointPlan> plan;
+  int64_t scan_cadence = 0;
+  std::optional<std::string> resume;
+  bool json = false;
+};
+
+// Loads the checkpoint at `path`, checks that it belongs to this scenario
+// before any state is restored, hands its state to `restore`, and verifies
+// the restored state digest; throws CheckpointError (CLI exit 3) otherwise.
+template <typename Engine, typename Restore>
+void ResumeVerified(Engine& engine, const std::string& path, const std::string& sim,
+                    uint64_t input_digest, Restore restore) {
+  const LoadedCheckpoint cp = LoadCheckpoint(path);
   if (cp.header.sim != sim) {
     throw CheckpointError("checkpoint is for sim '" + cp.header.sim +
                           "', this run is '" + sim + "'");
   }
-  if (cp.header.config_hash != config_hash) {
+  if (cp.header.config_hash != engine.ConfigHash()) {
     throw CheckpointError(
         "checkpoint config_hash " + DigestHex(cp.header.config_hash) +
-        " does not match this scenario (" + DigestHex(config_hash) +
+        " does not match this scenario (" + DigestHex(engine.ConfigHash()) +
         "); rerun with the flags the checkpoint was taken under");
   }
   if (cp.header.input_digest != input_digest) {
@@ -1169,6 +1170,12 @@ void RequireCheckpointMatch(const LoadedCheckpoint& cp, const std::string& sim,
                           DigestHex(cp.header.input_digest) +
                           " does not match the regenerated input trace (" +
                           DigestHex(input_digest) + ")");
+  }
+  restore(cp.state());
+  const uint64_t restored = engine.Digest();
+  if (restored != cp.header.state_digest) {
+    throw CheckpointError("state digest after restore is " + DigestHex(restored) +
+                          ", checkpoint recorded " + DigestHex(cp.header.state_digest));
   }
 }
 
@@ -1243,53 +1250,15 @@ void PrintAuditSummary(bool json, const std::string& sim, const std::string& pla
               static_cast<long long>(end_time));
 }
 
-int AuditPlatformSim(const Flags& flags, AuditLevel level) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "audit: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
-  const auto preset = SimPreset(*platform, platform_name, "audit");
-  if (!preset.has_value()) {
-    return 1;
-  }
-  PlatformSimConfig sim_config = *preset;
-  const double rate = flags.GetDouble("rate", 0.05);
-  if (rate < 0.0 || rate > 1.0) {
-    std::fprintf(stderr, "audit: --rate must be in [0, 1]\n");
-    return 1;
-  }
-  sim_config.faults.crash_prob = rate;
-  sim_config.faults.init_failure_prob = rate / 4.0;
-  sim_config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  const std::vector<std::string> errors = sim_config.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "audit: %s\n", err.c_str());
-    }
-    return 1;
-  }
-
-  bool bad_plan = false;
-  const auto plan = ParseCheckpointPlan(flags, &bad_plan);
-  if (bad_plan) {
-    return 1;
-  }
-  const double rps = flags.GetDouble("rps", 5.0);
-  const MicroSecs seconds = flags.GetSeconds("seconds", 120);
-  if (rps <= 0.0 || seconds <= 0) {
-    std::fprintf(stderr, "audit: --rps and --seconds must be positive\n");
-    return 1;
-  }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-
-  const int64_t scan_cadence = flags.GetInt("scan-cadence", 8192);
-  if (scan_cadence < 0) {
-    std::fprintf(stderr, "audit: --scan-cadence must be >= 0 (0 disables scans)\n");
-    return 1;
-  }
-  Auditor auditor(level, scan_cadence);
+int AuditPlatformSim(const Flags& flags, const AuditOptions& opts) {
+  PlatformScenario sc = ReadPlatformScenario(flags, /*rate=*/0.05, /*rps=*/5.0,
+                                             /*seconds=*/120, /*seed=*/1);
+  PlatformSimConfig& sim_config = sc.sim;
+  RequireValid(sim_config.Validate());
+  flags.RequireAllRead();
+  const AuditLevel level = opts.level;
+  const uint64_t seed = sc.seed;
+  Auditor auditor(level, opts.scan_cadence);
   if (level != AuditLevel::kOff) {
     sim_config.auditor = &auditor;
   }
@@ -1297,26 +1266,18 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
   // The platform checkpoint is self-contained (future arrivals live in the
   // serialized event queue), so there is no external input digest.
   PlatformEngine engine(sim_config, seed);
-  const auto resume = flags.Get("resume");
-  if (resume.has_value()) {
-    const LoadedCheckpoint cp = LoadCheckpoint(*resume);
-    RequireCheckpointMatch(cp, "platform", engine.ConfigHash(), /*input_digest=*/0);
-    engine.LoadState(cp.state());
-    const uint64_t restored = engine.Digest();
-    if (restored != cp.header.state_digest) {
-      throw CheckpointError("state digest after restore is " + DigestHex(restored) +
-                            ", checkpoint recorded " +
-                            DigestHex(cp.header.state_digest));
-    }
+  if (opts.resume.has_value()) {
+    ResumeVerified(engine, *opts.resume, "platform", /*input_digest=*/0,
+                   [&](const JsonValue& state) { engine.LoadState(state); });
   } else {
-    engine.Start(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
+    engine.Start(sc.Arrivals(), PyAesWorkload());
   }
 
-  const uint64_t digest = RunAudited(engine, plan, "platform", seed, 0);
+  const uint64_t digest = RunAudited(engine, opts.plan, "platform", seed, 0);
   const MicroSecs end_time = engine.now();
   const PlatformSimResult res = engine.Finish();
 
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(sc.platform);
   Usd total = 0.0;
   for (const auto& att : res.attempts) {
     total += ComputeInvoice(billing,
@@ -1329,97 +1290,50 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
     AuditPlatformRun(res, sim_config, seed, auditor);
   }
 
-  PrintAuditSummary(flags.GetBool("json"), "platform", billing.platform, seed, level,
-                    auditor, end_time, digest,
-                    static_cast<int64_t>(res.requests.size()), res.successes,
-                    static_cast<int64_t>(res.attempts.size()), total,
-                    resume.has_value());
+  PrintAuditSummary(opts.json, "platform", billing.platform, seed, level, auditor,
+                    end_time, digest, static_cast<int64_t>(res.requests.size()),
+                    res.successes, static_cast<int64_t>(res.attempts.size()), total,
+                    opts.resume.has_value());
   return 0;
 }
 
-int AuditFleetSim(const Flags& flags, AuditLevel level) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "audit: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
-
-  TraceGenConfig tcfg;
-  tcfg.num_requests = flags.GetInt("requests", 20'000);
-  tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
-  if (tcfg.num_requests <= 0 || tcfg.num_functions <= 0 || tcfg.window <= 0) {
-    std::fprintf(stderr,
-                 "audit: --requests, --functions and --seconds must be positive\n");
-    return 1;
-  }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-
-  FleetSimConfig fcfg;
-  fcfg.fault_seed = seed;
-  fcfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+int AuditFleetSim(const Flags& flags, const AuditOptions& opts) {
+  FleetScenario sc = ReadFleetScenario(flags, /*host_faults=*/true);
+  FleetSimConfig& fcfg = sc.sim;
   fcfg.retry.breaker_threshold = static_cast<int>(flags.GetInt("breaker-threshold", 0));
-  fcfg.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
-  fcfg.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
-  fcfg.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
-  fcfg.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
-  const std::vector<std::string> errors = fcfg.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "audit: %s\n", err.c_str());
-    }
-    return 1;
-  }
-
-  bool bad_plan = false;
-  const auto plan = ParseCheckpointPlan(flags, &bad_plan);
-  if (bad_plan) {
-    return 1;
-  }
-
-  const int64_t scan_cadence = flags.GetInt("scan-cadence", 8192);
-  if (scan_cadence < 0) {
-    std::fprintf(stderr, "audit: --scan-cadence must be >= 0 (0 disables scans)\n");
-    return 1;
-  }
-  Auditor auditor(level, scan_cadence);
+  RequireValid(fcfg.Validate());
+  flags.RequireAllRead();
+  const AuditLevel level = opts.level;
+  const uint64_t seed = sc.seed;
+  Auditor auditor(level, opts.scan_cadence);
   if (level != AuditLevel::kOff) {
     fcfg.auditor = &auditor;
   }
 
   // The fleet checkpoint does not embed the request trace; it is regenerated
   // from the same flags and guarded by input_digest.
-  const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
-  const BillingModel billing = MakeBillingModel(*platform);
+  const std::vector<RequestRecord> trace = TraceGenerator(sc.trace, seed).Generate();
+  const BillingModel billing = MakeBillingModel(sc.platform);
   const uint64_t input_digest = FleetEngine::DigestTrace(trace);
 
   FleetEngine engine(fcfg);
-  const auto resume = flags.Get("resume");
-  if (resume.has_value()) {
-    const LoadedCheckpoint cp = LoadCheckpoint(*resume);
-    RequireCheckpointMatch(cp, "fleet", engine.ConfigHash(), input_digest);
-    engine.Resume(trace, billing, cp.state());
-    const uint64_t restored = engine.Digest();
-    if (restored != cp.header.state_digest) {
-      throw CheckpointError("state digest after restore is " + DigestHex(restored) +
-                            ", checkpoint recorded " +
-                            DigestHex(cp.header.state_digest));
-    }
+  if (opts.resume.has_value()) {
+    ResumeVerified(engine, *opts.resume, "fleet", input_digest,
+                   [&](const JsonValue& state) { engine.Resume(trace, billing, state); });
   } else {
     engine.Start(trace, billing);
   }
 
-  const uint64_t digest = RunAudited(engine, plan, "fleet", seed, input_digest);
+  const uint64_t digest = RunAudited(engine, opts.plan, "fleet", seed, input_digest);
   const MicroSecs end_time = engine.now();
   const FleetResult res = engine.Finish();
   if (level != AuditLevel::kOff) {
     AuditFleetRun(res, fcfg, auditor);
   }
 
-  PrintAuditSummary(flags.GetBool("json"), "fleet", billing.platform, seed, level,
-                    auditor, end_time, digest, res.requests, res.successes,
-                    res.attempts, res.revenue, resume.has_value());
+  PrintAuditSummary(opts.json, "fleet", billing.platform, seed, level, auditor, end_time,
+                    digest, res.requests, res.successes, res.attempts, res.revenue,
+                    opts.resume.has_value());
   return 0;
 }
 
@@ -1427,18 +1341,12 @@ int AuditFleetSim(const Flags& flags, AuditLevel level) {
 // policies (retries, deadline budgets, hedging, async redrives + DLQ, quorum
 // joins), optionally with a zonal outage mid-run.
 int CmdWorkflows(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "workflows: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
+  const Platform platform = ReadPlatform(flags);
 
   const std::string archetype = flags.Get("archetype").value_or("chain");
   const int hops = static_cast<int>(flags.GetInt("hops", 5));
   if (hops < 1) {
-    std::fprintf(stderr, "workflows: --hops must be >= 1\n");
-    return 1;
+    throw UsageError("--hops must be >= 1");
   }
   const int quorum = static_cast<int>(flags.GetInt("quorum", 0));
 
@@ -1448,7 +1356,7 @@ int CmdWorkflows(const Flags& flags) {
   cfg.zones = static_cast<int>(flags.GetInt("zones", 1));
   cfg.failure_rate = flags.GetDouble("rate", 0.0);
   cfg.init_failure_rate = flags.GetDouble("init-fail-rate", cfg.failure_rate / 4.0);
-  cfg.pricing = MakeWorkflowPricing(*platform);
+  cfg.pricing = MakeWorkflowPricing(platform);
 
   HopSpec proto;
   proto.exec_mean = MillisToMicros(flags.GetDouble("exec-ms", 80.0));
@@ -1461,10 +1369,8 @@ int CmdWorkflows(const Flags& flags) {
   } else if (archetype == "mapreduce") {
     cfg.dags.push_back(MakeMapReduceDag("mapreduce", hops, proto));
   } else {
-    std::fprintf(stderr,
-                 "workflows: --archetype must be chain, fanout or mapreduce, got '%s'\n",
-                 archetype.c_str());
-    return 1;
+    throw UsageError("--archetype must be chain, fanout or mapreduce, got '" + archetype +
+                     "'");
   }
 
   cfg.policy.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
@@ -1475,39 +1381,21 @@ int CmdWorkflows(const Flags& flags) {
   cfg.policy.hedge.hedge_after = MillisToMicros(flags.GetDouble("hedge-ms", 0.0));
   cfg.policy.redrive.max_redrives = static_cast<int>(flags.GetInt("async-redrives", 2));
 
-  if (flags.Get("outage-zone").has_value()) {
-    ZonalOutageSpec outage;
-    outage.zone = static_cast<int>(flags.GetInt("outage-zone", 0));
-    outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
-    outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
-    cfg.outages.push_back(outage);
+  if (const auto outage = ReadOutage<ZonalOutageSpec>(flags)) {
+    cfg.outages.push_back(*outage);
   }
 
-  AuditLevel level = AuditLevel::kOff;
-  const std::string level_name = flags.Get("audit-level").value_or("off");
-  try {
-    level = ParseAuditLevel(level_name);
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr,
-                 "workflows: --audit-level must be off, basic or full, got '%s'\n",
-                 level_name.c_str());
-    return 1;
-  }
+  const AuditLevel level = ReadAuditLevel(flags, "off");
   Auditor auditor(level);
   if (level != AuditLevel::kOff) {
     cfg.auditor = &auditor;
   }
 
-  const std::vector<std::string> errors = cfg.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "workflows: %s\n", err.c_str());
-    }
-    return 1;
-  }
-
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const BillingModel billing = MakeBillingModel(*platform);
+  const bool json = flags.GetBool("json");
+  RequireValid(cfg.Validate());
+  flags.RequireAllRead();
+  const BillingModel billing = MakeBillingModel(platform);
   const WorkflowSimResult res = SimulateWorkflows(cfg, billing, seed);
   if (level != AuditLevel::kOff) {
     AuditWorkflowRun(res, cfg, seed, auditor, billing);
@@ -1519,7 +1407,7 @@ int CmdWorkflows(const Flags& flags) {
           ? res.usd_total / static_cast<double>(c.workflows_succeeded)
           : 0.0;
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     w.BeginObject();
     w.KV("platform", billing.platform);
@@ -1619,27 +1507,18 @@ int CmdWorkflows(const Flags& flags) {
 // reproduce the span folds bit-for-bit, else the tool exits with the same
 // code as a tripped invariant (cli::kIntegrityViolation).
 int CmdNetwork(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "network: unknown platform '%s'\n", platform_name.c_str());
-    return cli::kUsage;
-  }
-
-  TraceGenConfig tcfg;
-  tcfg.num_requests = flags.GetInt("requests", 20'000);
-  tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetSeconds("seconds", 3'600) * kMicrosPerSec;
+  FleetScenario sc = ReadFleetScenario(flags, /*host_faults=*/false);
+  const Platform platform = sc.platform;
+  const uint64_t seed = sc.seed;
+  TraceGenConfig& tcfg = sc.trace;
   // Trace records carry explicit payload hints; the model's own payload
   // distribution stays disabled so sizes are pinned by the trace.
   tcfg.payload_request_mean_kb = flags.GetDouble("req-kb", 16.0);
   tcfg.payload_response_mean_kb = flags.GetDouble("resp-kb", 64.0);
   tcfg.failure_rate_mean = flags.GetDouble("rate", 0.0);
   if (tcfg.failure_rate_mean < 0.0 || tcfg.failure_rate_mean > 1.0) {
-    std::fprintf(stderr, "network: --rate must be in [0, 1]\n");
-    return cli::kUsage;
+    throw UsageError("--rate must be in [0, 1]");
   }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   NetworkModelConfig ncfg;
   ncfg.topology.zones = static_cast<int>(flags.GetInt("zones", 3));
@@ -1647,41 +1526,25 @@ int CmdNetwork(const Flags& flags) {
       static_cast<int>(flags.GetInt("zones-per-region", ncfg.topology.zones));
   ncfg.class_a_ops_per_request = flags.GetInt("class-a", 1);
   ncfg.class_b_ops_per_request = flags.GetInt("class-b", 2);
-  if (flags.Get("outage-zone").has_value()) {
-    NetOutage outage;
-    outage.zone = static_cast<int>(flags.GetInt("outage-zone", 0));
-    outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
-    outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
-    ncfg.outages.push_back(outage);
+  if (const auto outage = ReadOutage<NetOutage>(flags)) {
+    ncfg.outages.push_back(*outage);
   }
-  const std::vector<std::string> net_errors = ncfg.Validate();
-  if (!net_errors.empty()) {
-    for (const std::string& err : net_errors) {
-      std::fprintf(stderr, "network: %s\n", err.c_str());
-    }
-    return cli::kUsage;
-  }
+  FleetSimConfig& fcfg = sc.sim;
+  const int64_t window_s = flags.GetSeconds("window", 5);
+  const bool json = flags.GetBool("json");
+  RequireValid(ncfg.Validate());
+  RequireValid(fcfg.Validate());
+  flags.RequireAllRead();
 
-  FleetSimConfig fcfg;
-  fcfg.fault_seed = seed;
-  fcfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  const std::vector<std::string> fleet_errors = fcfg.Validate();
-  if (!fleet_errors.empty()) {
-    for (const std::string& err : fleet_errors) {
-      std::fprintf(stderr, "network: %s\n", err.c_str());
-    }
-    return cli::kUsage;
-  }
-
-  NetworkModel net(ncfg, MakeNetworkPricing(*platform), seed);
+  NetworkModel net(ncfg, MakeNetworkPricing(platform), seed);
   SpanCollector sink;
-  TimeSeries series(flags.GetSeconds("window", 5) * kMicrosPerSec);
+  TimeSeries series(window_s * kMicrosPerSec);
   fcfg.network = &net;
   fcfg.trace_sink = &sink;
   fcfg.timeseries = &series;
 
   const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(platform);
   const FleetResult res = SimulateFleet(trace, billing, fcfg);
   const NetworkBill& bill = net.bill();
 
@@ -1689,22 +1552,8 @@ int CmdNetwork(const Flags& flags) {
   // bit-for-bit, window by window, and the meter's transfer count must
   // match the engine's. A mismatch means money was dropped or
   // double-counted between the engine, the meter and telemetry.
-  const BilledReconciliation xfer = ReconcileTransferUsd(series, sink.spans());
-  if (!xfer.ok) {
-    std::fprintf(stderr,
-                 "network: transfer-USD reconciliation FAILED: window %lld, "
-                 "series total %.17g vs span total %.17g\n",
-                 static_cast<long long>(xfer.first_mismatch_window),
-                 xfer.timeseries_total, xfer.span_total);
-    return cli::kIntegrityViolation;
-  }
-  const BilledReconciliation priced = ReconcileBilledUsd(series, sink.spans());
-  if (!priced.ok) {
-    std::fprintf(stderr,
-                 "network: billed-USD reconciliation FAILED: window %lld, "
-                 "series total %.17g vs span total %.17g\n",
-                 static_cast<long long>(priced.first_mismatch_window),
-                 priced.timeseries_total, priced.span_total);
+  if (!Reconciled("network", "transfer-USD", ReconcileTransferUsd(series, sink.spans())) ||
+      !Reconciled("network", "billed-USD", ReconcileBilledUsd(series, sink.spans()))) {
     return cli::kIntegrityViolation;
   }
   if (res.net_transfers != bill.transfers || res.net_bytes != series.TotalNetBytes()) {
@@ -1725,7 +1574,7 @@ int CmdNetwork(const Flags& flags) {
     return static_cast<double>(bytes) / static_cast<double>(kBytesPerGb);
   };
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     w.BeginObject();
     w.KV("platform", billing.platform);
@@ -1806,24 +1655,22 @@ int CmdNetwork(const Flags& flags) {
 
 int CmdAuditIntegrity(const Flags& flags) {
   const std::string sim = flags.Get("sim").value_or("platform");
-  AuditLevel level = AuditLevel::kFull;
-  const std::string level_name = flags.Get("audit-level").value_or("full");
-  try {
-    level = ParseAuditLevel(level_name);
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "audit: --audit-level must be off, basic or full, got '%s'\n",
-                 level_name.c_str());
-    return 1;
+  AuditOptions opts;
+  opts.level = ReadAuditLevel(flags, "full");
+  opts.plan = ParseCheckpointPlan(flags);
+  opts.scan_cadence = flags.GetInt("scan-cadence", 8192);
+  if (opts.scan_cadence < 0) {
+    throw UsageError("--scan-cadence must be >= 0 (0 disables scans)");
   }
+  opts.resume = flags.Get("resume");
+  opts.json = flags.GetBool("json");
   if (sim == "platform") {
-    return AuditPlatformSim(flags, level);
+    return AuditPlatformSim(flags, opts);
   }
   if (sim == "fleet") {
-    return AuditFleetSim(flags, level);
+    return AuditFleetSim(flags, opts);
   }
-  std::fprintf(stderr, "audit: --sim must be platform or fleet, got '%s'\n",
-               sim.c_str());
-  return 1;
+  throw UsageError("--sim must be platform or fleet, got '" + sim + "'");
 }
 
 int Usage() {
@@ -1845,50 +1692,36 @@ int Usage() {
                "        [--window S --slo MS --slo-target F --profile-engine]\n"
                "                                       (timeseries.jsonl + alerts.jsonl)\n"
                "  workflows --archetype A --hops N     cost of workflow DAGs under\n"
-               "        [--rate R --retries N --deadline-ms N --hedge-ms N\n"
-               "         --async --quorum K --audit-level L]  resilience policies\n"
+               "        [--rate R --init-fail-rate R --exec-ms N --retries N\n"
+               "         --deadline-ms N --hedge-ms N --async --quorum K\n"
+               "         --audit-level L]              resilience policies\n"
                "  network [--platform P] [--zones N]    cost-of-network decomposition\n"
                "        [--req-kb K --resp-kb K --class-a N --class-b N\n"
-               "         --outage-zone Z]              (compute/requests/egress/ops)\n");
+               "         --outage-zone Z --window S]   (compute/requests/egress/ops)\n"
+               "A flag the command does not read, a stray argument or a nan/inf\n"
+               "number is a usage error (exit 1).\n");
   return cli::kUsage;
 }
 
 int Dispatch(const std::string& cmd, const Flags& flags) {
-  if (cmd == "platforms") {
-    return CmdPlatforms();
-  }
-  if (cmd == "bill") {
-    return CmdBill(flags);
-  }
-  if (cmd == "cost") {
-    return CmdCost(flags);
-  }
-  if (cmd == "audit") {
-    return CmdAuditIntegrity(flags);
-  }
-  if (cmd == "rightsize") {
-    return CmdRightsize(flags);
-  }
-  if (cmd == "generate") {
-    return CmdGenerate(flags);
-  }
-  if (cmd == "failures") {
-    return CmdFailures(flags);
-  }
-  if (cmd == "chaos") {
-    return CmdChaos(flags);
-  }
-  if (cmd == "observe") {
-    return CmdObserve(flags);
-  }
-  if (cmd == "monitor") {
-    return CmdMonitor(flags);
-  }
-  if (cmd == "workflows") {
-    return CmdWorkflows(flags);
-  }
-  if (cmd == "network") {
-    return CmdNetwork(flags);
+  static constexpr std::pair<const char*, int (*)(const Flags&)> kCommands[] = {
+      {"platforms", CmdPlatforms},
+      {"bill", CmdBill},
+      {"cost", CmdCost},
+      {"audit", CmdAuditIntegrity},
+      {"rightsize", CmdRightsize},
+      {"generate", CmdGenerate},
+      {"failures", CmdFailures},
+      {"chaos", CmdChaos},
+      {"observe", CmdObserve},
+      {"monitor", CmdMonitor},
+      {"workflows", CmdWorkflows},
+      {"network", CmdNetwork},
+  };
+  for (const auto& [name, run] : kCommands) {
+    if (cmd == name) {
+      return run(flags);
+    }
   }
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return Usage();
@@ -1913,6 +1746,12 @@ int Main(int argc, char** argv) {
   } catch (const JsonParseError& e) {
     std::fprintf(stderr, "faascost: unparseable artifact: %s\n", e.what());
     return cli::kMalformedArtifact;
+  } catch (const UsageError& e) {
+    std::istringstream lines(e.what());
+    for (std::string line; std::getline(lines, line);) {
+      std::fprintf(stderr, "%s: %s\n", cmd.c_str(), line.c_str());
+    }
+    return cli::kUsage;
   } catch (const std::exception& e) {
     // Bad flag values surface as library exceptions (std::invalid_argument
     // from config validation, std::length_error from a negative count);
