@@ -32,7 +32,9 @@ void BM_TraceGeneration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_TraceGeneration)->Arg(10'000)->Arg(100'000);
+// Wall time: Generate fills on worker threads, whose CPU time the default
+// (calling thread's) clock would leave out. 1M is perfbench's fleet-day size.
+BENCHMARK(BM_TraceGeneration)->Arg(10'000)->Arg(100'000)->Arg(1'000'000)->UseRealTime();
 
 void BM_InvoiceComputation(benchmark::State& state) {
   TraceGenConfig cfg;

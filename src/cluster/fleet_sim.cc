@@ -1234,6 +1234,9 @@ FleetResult FleetEngine::Finish() {
 }
 
 void FleetEngine::SaveState(JsonWriter& w) {
+  SizeBound bound;
+  impl_->Archive(bound);
+  w.Reserve(w.str().size() + bound.bytes() + 3);  // Plus the braces and a comma.
   Saver ar(&w);
   w.BeginObject();
   impl_->Archive(ar);

@@ -1,5 +1,6 @@
 #include "src/common/json_writer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cmath>
@@ -99,6 +100,14 @@ void JsonWriter::Null() {
 
 void JsonWriter::AppendEscaped(std::string* out, std::string_view v) {
   out->push_back('"');
+  const bool plain = std::none_of(v.begin(), v.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+  if (plain) {
+    out->append(v);
+    out->push_back('"');
+    return;
+  }
   for (const char c : v) {
     switch (c) {
       case '"':

@@ -46,6 +46,10 @@ class JsonWriter {
   // The document so far. Valid JSON once all containers are closed.
   const std::string& str() const { return out_; }
 
+  // Reserves room for a document of `bytes` in total, so a large write does
+  // not copy its buffer as it grows.
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
+
   // True when every BeginObject/BeginArray has been matched by its End.
   bool balanced() const { return stack_.empty(); }
 

@@ -93,11 +93,16 @@ double Rng::Normal() {
   while (u1 <= 1e-300) {
     u1 = NextDouble();
   }
+  const auto [z0, z1] = BoxMuller(u1, u2);
+  spare_normal_ = z1;
+  has_spare_normal_ = true;
+  return z0;
+}
+
+std::pair<double, double> Rng::BoxMuller(double u1, double u2) {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * M_PI * u2;
-  spare_normal_ = r * std::sin(theta);
-  has_spare_normal_ = true;
-  return r * std::cos(theta);
+  return {r * std::cos(theta), r * std::sin(theta)};
 }
 
 double Rng::Normal(double mean, double stddev) { return mean + stddev * Normal(); }

@@ -44,6 +44,8 @@ struct RngState {
   uint64_t s[4] = {0, 0, 0, 0};
   uint64_t spare_normal_bits = 0;
   bool has_spare_normal = false;
+
+  bool operator==(const RngState&) const = default;
 };
 
 class Rng {
@@ -79,6 +81,12 @@ class Rng {
   // Standard normal via Box-Muller (cached spare value).
   double Normal();
   double Normal(double mean, double stddev);
+
+  // The Box-Muller pair Normal() derives from its two uniforms u1 (in
+  // (1e-300, 1)) and u2: it returns the first and caches the second as the
+  // spare. Public so a caller that replays the stream's raw words can
+  // rebuild the spare's exact bits.
+  static std::pair<double, double> BoxMuller(double u1, double u2);
 
   // Lognormal with the given parameters of the underlying normal.
   double LogNormal(double mu, double sigma);

@@ -15,7 +15,8 @@
 //
 // and instantiates it with Saver (JsonWriter-backed), Loader
 // (JsonValue-backed), or Digester (StateDigest-backed). Adding a field to
-// the walker updates all three at once; forgetting one is impossible.
+// the walker updates all three at once; forgetting one is impossible. A
+// fourth backend, SizeBound, walks it to bound a Saver document's size.
 //
 // Encoding choices:
 //   - Doubles save/load as their IEEE-754 bit pattern (a JSON uint64), so a
@@ -202,6 +203,50 @@ class Digester {
 
  private:
   StateDigest* d_;
+};
+
+// Upper bound on the bytes Saver writes for the same walk: every key at its
+// length, every number at its widest, every string fully escaped, plus the
+// quotes, colons, commas and brackets around them. Engines reserve it before
+// saving, so a large checkpoint is written without regrowing its buffer.
+class SizeBound {
+ public:
+  static constexpr bool kLoading = false;
+
+  // uint64_t, int64_t, int, and double (saved as its uint64 bit pattern).
+  template <typename T>
+  void Field(std::string_view key, T& /*v*/) {
+    bytes_ += KeyBytes(key) + kNumberBytes;
+  }
+  void Field(std::string_view key, bool& /*v*/) { bytes_ += KeyBytes(key) + 5; }
+  void Field(std::string_view key, std::string& v) {
+    bytes_ += KeyBytes(key) + 2 + 6 * v.size();  // "\u00XX" per byte at worst.
+  }
+
+  void Begin(std::string_view key) { bytes_ += KeyBytes(key) + 2; }
+  void End() {}
+
+  size_t BeginArray(std::string_view key, size_t n) {
+    bytes_ += KeyBytes(key) + 2;
+    return n;
+  }
+  void BeginElem() { bytes_ += 3; }  // Braces and a comma.
+  void EndElem() {}
+  void EndArray() {}
+
+  void I64Vec(std::string_view key, std::vector<int64_t>& v) {
+    bytes_ += KeyBytes(key) + 2 + (kNumberBytes + 1) * v.size();
+  }
+
+  size_t bytes() const { return bytes_; }
+
+ private:
+  // Widest int64 or uint64 in decimal: "-9223372036854775808".
+  static constexpr size_t kNumberBytes = 20;
+  // A key with its quotes, its colon and the comma before it.
+  static size_t KeyBytes(std::string_view key) { return key.size() + 4; }
+
+  size_t bytes_ = 0;
 };
 
 // Archives an RNG's position in its stream (xoshiro state words plus the

@@ -20,6 +20,7 @@
 #define FAASCOST_TRACE_GENERATOR_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -104,6 +105,9 @@ struct TraceGenConfig {
   double payload_request_ln_sigma = 1.0;
   double payload_response_mean_kb = 0.0;
   double payload_response_ln_sigma = 1.0;
+
+  // One message per invalid field; empty when the config is usable.
+  std::vector<std::string> Validate() const;
 };
 
 // Static per-function characteristics drawn once.
@@ -120,9 +124,20 @@ struct FunctionProfile {
 
 class TraceGenerator {
  public:
+  // Throws std::invalid_argument naming every field Validate() rejects.
   TraceGenerator(TraceGenConfig config, uint64_t seed);
 
-  // Generates the flat request stream, sorted by arrival time.
+  // Requests per chunk of Generate's fill grid (see Generate).
+  static constexpr int64_t kChunkRequests = 16'384;
+
+  // Generates the flat request stream, sorted by arrival time (ties keep
+  // std::sort's order). The output is that of generating the requests one
+  // after another and sorting the records by arrival; the work is spread
+  // over threads, but the output never depends on how many. A serial dry
+  // pass replays each request's raw draws and snapshots both streams every
+  // kChunkRequests requests; worker threads then restore a chunk's
+  // snapshots and run the real draws. A chunk whose end state differs from
+  // the next snapshot throws std::logic_error. DESIGN.md has the contract.
   std::vector<RequestRecord> Generate();
 
   // Generates `count` sandbox lifecycles for the cold-start study (Fig. 4).
@@ -133,6 +148,10 @@ class TraceGenerator {
 
  private:
   RequestRecord MakeRequest(const FunctionProfile& fn, MicroSecs arrival, Rng& rng) const;
+  // Generates requests [begin, end) from the streams' positions at `begin`,
+  // writing request i to out[slot[i]].
+  void FillRange(int64_t begin, int64_t end, const int64_t* slot, Rng& rng, Rng& payload_rng,
+                 RequestRecord* out) const;
 
   TraceGenConfig config_;
   Rng rng_;

@@ -55,6 +55,7 @@ case("bill", "bill --platform aws --exec-ms 150 --cpu-ms 80 --vcpus 1 "
 case("bill_missing_platform", "bill --exec-ms 150")
 case("bill_unknown_platform", "bill --platform nope")
 case("bill_malformed_number", "bill --platform gcp --exec-ms abc")
+case("bill_exec_ms_overflow", "bill --platform aws --exec-ms 1e300")
 
 case("generate", "generate --out day.csv --requests 300 --functions 20 --seed 2")
 case("generate_missing_out", "generate --requests 10")
@@ -158,6 +159,8 @@ case("workflows_hops_zero", "workflows --hops 0")
 case("workflows_bad_level", "workflows --audit-level bogus")
 case("workflows_wps_zero", "workflows --wps 0")
 case("workflows_rate_nan", "workflows --rate nan")
+case("workflows_outage_seconds_overflow",
+     "workflows --outage-zone 0 --outage-seconds 1e300")
 
 case("network_json", f"network {FLEET_DAY} --zones 3 --req-kb 16 --resp-kb 64 "
      "--rate 0.05 --outage-zone 0 --outage-start-s 30 --outage-seconds 120 "

@@ -58,6 +58,29 @@ TEST(JsonWriter, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(w.str(), "{\"k\":\"a\\\"b\\\\c\\n\\t\\u0001\"}");
 }
 
+TEST(JsonWriter, EscapesKeysLikeValues) {
+  JsonWriter w;
+  w.BeginObject();
+  w.KV("q\"k", 1);
+  w.KV("b\\k", 2);
+  w.KV(std::string_view("c\r\x1f\0k", 5), 3);
+  w.EndObject();
+  EXPECT_EQ(w.str(), "{\"q\\\"k\":1,\"b\\\\k\":2,\"c\\r\\u001f\\u0000k\":3}");
+}
+
+TEST(JsonWriter, EscapeOnlyAtTheEnds) {
+  // A string whose only escape is its first or last byte still takes the
+  // escaping path; one with none is copied as is, UTF-8 bytes included.
+  JsonWriter w;
+  w.BeginArray();
+  w.Value("\"lead");
+  w.Value("trail\\");
+  w.Value("\x7f caf\xc3\xa9 ~");
+  w.Value("");
+  w.EndArray();
+  EXPECT_EQ(w.str(), "[\"\\\"lead\",\"trail\\\\\",\"\x7f caf\xc3\xa9 ~\",\"\"]");
+}
+
 TEST(JsonWriter, DoublesRoundTripShortest) {
   // std::to_chars shortest form: integral doubles print without an exponent
   // or trailing zeros, and 0.1 prints as written.

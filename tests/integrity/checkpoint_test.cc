@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/common/fileio.h"
 #include "src/common/json_reader.h"
 #include "src/common/json_writer.h"
+#include "src/integrity/archive.h"
 #include "src/integrity/checkpoint.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
@@ -157,6 +159,50 @@ TEST(CheckpointResume, FleetSaveIsByteStableAcrossRestore) {
   FleetEngine restored(cfg);
   restored.Resume(trace, billing, ParseJson(state));
   EXPECT_EQ(SaveFleetState(restored), state);
+}
+
+// Every field kind at its widest: SizeBound must cover what Saver writes.
+struct WidestState {
+  uint64_t u = std::numeric_limits<uint64_t>::max();
+  int64_t i = std::numeric_limits<int64_t>::min();
+  int n = std::numeric_limits<int>::min();
+  bool b = false;
+  double d = -std::numeric_limits<double>::max();
+  std::string escaped = std::string("\x01\"\\\n", 4);
+  std::vector<int64_t> vec = {std::numeric_limits<int64_t>::min(), -1, 0};
+
+  template <typename Ar>
+  void Archive(Ar& ar) {
+    ar.Field("u", u);
+    ar.Field("i", i);
+    ar.Field("n", n);
+    ar.Field("b", b);
+    ar.Field("d", d);
+    ar.Field("escaped", escaped);
+    ar.I64Vec("vec", vec);
+    ar.Begin("nested");
+    ar.Field("u", u);
+    ar.End();
+    const size_t count = ar.BeginArray("elems", 3);
+    for (size_t k = 0; k < count; ++k) {
+      ar.BeginElem();
+      ar.Field("i", i);
+      ar.EndElem();
+    }
+    ar.EndArray();
+  }
+};
+
+TEST(SizeBound, CoversWidestFields) {
+  WidestState state;
+  SizeBound bound;
+  state.Archive(bound);
+  JsonWriter w;
+  Saver saver(&w);
+  w.BeginObject();
+  state.Archive(saver);
+  w.EndObject();
+  EXPECT_LE(w.str().size(), bound.bytes() + 3);
 }
 
 // The derived dispatch indexes are not archived: a restore rebuilds them

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/stats.h"
 #include "src/trace/summary.h"
@@ -181,6 +183,59 @@ TEST(TraceGenerator, LifecyclesHaveAtLeastOneRequest) {
     EXPECT_GT(lc.init_duration, 0);
     EXPECT_GT(lc.alloc_vcpus, 0.0);
   }
+}
+
+// Constructing a generator from `cfg` throws std::invalid_argument whose
+// message names `field`.
+void ExpectRejected(const TraceGenConfig& cfg, const std::string& field) {
+  ASSERT_EQ(cfg.Validate().size(), 1u);
+  EXPECT_NE(cfg.Validate()[0].find(field), std::string::npos) << cfg.Validate()[0];
+  try {
+    TraceGenerator gen(cfg, 1);
+    ADD_FAILURE() << "no exception for " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(TraceGenConfigValidate, RejectsNoFunctions) {
+  TraceGenConfig cfg;
+  cfg.num_functions = 0;
+  ExpectRejected(cfg, "num_functions");
+}
+
+TEST(TraceGenConfigValidate, RejectsNegativeRequests) {
+  TraceGenConfig cfg;
+  cfg.num_requests = -1;
+  ExpectRejected(cfg, "num_requests");
+}
+
+TEST(TraceGenConfigValidate, RejectsEmptyWindow) {
+  TraceGenConfig cfg;
+  cfg.window = 0;
+  ExpectRejected(cfg, "window");
+}
+
+TEST(TraceGenConfigValidate, RejectsNoCombos) {
+  TraceGenConfig cfg;
+  cfg.combos.clear();
+  ExpectRejected(cfg, "combos");
+}
+
+TEST(TraceGenConfigValidate, RejectsNonPositiveComboWeight) {
+  TraceGenConfig cfg;
+  for (auto& combo : cfg.combos) {
+    combo.weight = 0.0;
+  }
+  ExpectRejected(cfg, "combos total weight");
+}
+
+TEST(TraceGenConfigValidate, NamesEveryBadField) {
+  TraceGenConfig cfg;
+  cfg.num_functions = 0;
+  cfg.num_requests = -5;
+  cfg.window = -1;
+  EXPECT_EQ(cfg.Validate().size(), 3u);
 }
 
 TEST(Kumaraswamy, QuantileCdfRoundTrip) {

@@ -29,11 +29,12 @@ echo
 echo "== Tier 1: ThreadSanitizer build (sharded-engine concurrency readiness) =="
 # TSan is incompatible with ASan, so it gets its own tree. The fleet and
 # workflow chaos/engine suites are the sharding candidates R9 audits; they
-# must already be data-race-free under TSan before any sharding lands.
+# must already be data-race-free under TSan before any sharding lands. The
+# trace generator suites run its threaded fill.
 cmake -B "$repo/build-tsan" -S "$repo" -DFAASCOST_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs"
 ctest --test-dir "$repo/build-tsan" \
-  -R 'fleet|workflow|chaos|host_faults|faults_test' \
+  -R 'fleet|workflow|chaos|host_faults|faults_test|trace_generator|trace_sweep' \
   --output-on-failure -j "$jobs"
 
 echo

@@ -49,9 +49,10 @@
 //
 // Exit status (src/cli/exit_codes.h, documented in README): 0 on success,
 // 1 on usage errors (including a flag the command does not read, a stray
-// argument, and a nan or inf number), 2 when an integrity invariant or a
-// bit-for-bit USD reconciliation fails mid-run (IntegrityViolation), 3 on a
-// malformed or mismatched checkpoint / unparseable artifact (CheckpointError).
+// argument, a nan or inf number, and a duration that overflows int64
+// microseconds), 2 when an integrity invariant or a bit-for-bit USD
+// reconciliation fails mid-run (IntegrityViolation), 3 on a malformed or
+// mismatched checkpoint / unparseable artifact (CheckpointError).
 
 #include <algorithm>
 #include <cerrno>
@@ -198,6 +199,22 @@ class Flags {
     return secs;
   }
 
+  // A fractional duration flag in `-ms` or `-s` units, `micros_per_unit`
+  // microseconds each: exits 1 with a usage error when the value in
+  // microseconds would not fit MicroSecs, so MillisToMicros/SecsToMicros
+  // never cast out of range.
+  double GetDuration(const std::string& key, double fallback, MicroSecs micros_per_unit) const {
+    const double value = GetDouble(key, fallback);
+    // 2^63 is exact in a double; a product at or past it overflows the cast.
+    constexpr double kLimit = 0x1p63;
+    if (!(std::fabs(value * static_cast<double>(micros_per_unit)) < kLimit)) {
+      std::fprintf(stderr, "faascost: --%s %g is out of range (overflows in microseconds)\n",
+                   key.c_str(), value);
+      std::exit(1);
+    }
+    return value;
+  }
+
   // Called by each subcommand once it has read all of its flags, before it
   // runs or prints anything: a positional argument or a flag that was never
   // read is a usage error.
@@ -296,12 +313,12 @@ int CmdBill(const Flags& flags) {
   }
   const Platform platform = ReadPlatform(flags);
   RequestRecord r;
-  r.exec_duration = MillisToMicros(flags.GetDouble("exec-ms", 100.0));
-  r.cpu_time = MillisToMicros(flags.GetDouble("cpu-ms", 50.0));
+  r.exec_duration = MillisToMicros(flags.GetDuration("exec-ms", 100.0, kMicrosPerMilli));
+  r.cpu_time = MillisToMicros(flags.GetDuration("cpu-ms", 50.0, kMicrosPerMilli));
   r.alloc_vcpus = flags.GetDouble("vcpus", 1.0);
   r.alloc_mem_mb = flags.GetDouble("mem-mb", 1'024.0);
   r.used_mem_mb = flags.GetDouble("used-mem-mb", r.alloc_mem_mb / 4.0);
-  r.init_duration = MillisToMicros(flags.GetDouble("init-ms", 0.0));
+  r.init_duration = MillisToMicros(flags.GetDuration("init-ms", 0.0, kMicrosPerMilli));
   r.cold_start = r.init_duration > 0;
   flags.RequireAllRead();
 
@@ -369,7 +386,8 @@ int CmdCost(const Flags& flags) {
 
 int CmdRightsize(const Flags& flags) {
   const std::string platform = flags.Get("platform").value_or("aws");
-  const MicroSecs cpu_demand = MillisToMicros(flags.GetDouble("cpu-ms", 160.0));
+  const MicroSecs cpu_demand =
+      MillisToMicros(flags.GetDuration("cpu-ms", 160.0, kMicrosPerMilli));
   const double slo_ms = flags.GetDouble("slo-ms", 1'000.0);
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   if (platform == "aws") {
@@ -545,8 +563,8 @@ std::optional<Outage> ReadOutage(const Flags& flags) {
   }
   Outage outage;
   outage.zone = static_cast<int>(flags.GetInt("outage-zone", 0));
-  outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
-  outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
+  outage.start = SecsToMicros(flags.GetDuration("outage-start-s", 10.0, kMicrosPerSec));
+  outage.duration = SecsToMicros(flags.GetDuration("outage-seconds", 30.0, kMicrosPerSec));
   return outage;
 }
 
@@ -569,7 +587,7 @@ int CmdFailures(const Flags& flags) {
                                              /*seconds=*/120, /*seed=*/1);
   PlatformSimConfig& sim_config = sc.sim;
   sim_config.faults.max_exec_duration =
-      MillisToMicros(flags.GetDouble("timeout-ms", 0.0));
+      MillisToMicros(flags.GetDuration("timeout-ms", 0.0, kMicrosPerMilli));
   const bool json = flags.GetBool("json");
   RequireValid(sim_config.Validate());
   flags.RequireAllRead();
@@ -914,7 +932,7 @@ int CmdMonitor(const Flags& flags) {
   if (window_s <= 0) {
     throw UsageError("--window must be > 0 seconds");
   }
-  const double slo_ms = flags.GetDouble("slo", 1'000.0);
+  const double slo_ms = flags.GetDuration("slo", 1'000.0, kMicrosPerMilli);
   if (slo_ms <= 0.0) {
     throw UsageError("--slo must be a positive latency in ms");
   }
@@ -1359,8 +1377,8 @@ int CmdWorkflows(const Flags& flags) {
   cfg.pricing = MakeWorkflowPricing(platform);
 
   HopSpec proto;
-  proto.exec_mean = MillisToMicros(flags.GetDouble("exec-ms", 80.0));
-  proto.timeout = MillisToMicros(flags.GetDouble("timeout-ms", 0.0));
+  proto.exec_mean = MillisToMicros(flags.GetDuration("exec-ms", 80.0, kMicrosPerMilli));
+  proto.timeout = MillisToMicros(flags.GetDuration("timeout-ms", 0.0, kMicrosPerMilli));
   proto.async = flags.GetBool("async");
   if (archetype == "chain") {
     cfg.dags.push_back(MakeChainDag("chain", hops, proto, cfg.zones > 1));
@@ -1376,9 +1394,11 @@ int CmdWorkflows(const Flags& flags) {
   cfg.policy.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
   cfg.policy.retry.breaker_threshold =
       static_cast<int>(flags.GetInt("breaker-threshold", 0));
-  cfg.policy.deadline.deadline = MillisToMicros(flags.GetDouble("deadline-ms", 0.0));
+  cfg.policy.deadline.deadline =
+      MillisToMicros(flags.GetDuration("deadline-ms", 0.0, kMicrosPerMilli));
   cfg.policy.deadline.propagate = !flags.GetBool("no-propagate");
-  cfg.policy.hedge.hedge_after = MillisToMicros(flags.GetDouble("hedge-ms", 0.0));
+  cfg.policy.hedge.hedge_after =
+      MillisToMicros(flags.GetDuration("hedge-ms", 0.0, kMicrosPerMilli));
   cfg.policy.redrive.max_redrives = static_cast<int>(flags.GetInt("async-redrives", 2));
 
   if (const auto outage = ReadOutage<ZonalOutageSpec>(flags)) {
